@@ -12,10 +12,18 @@ The paper evaluates DTaint one image at a time; its workload is a
   the end-of-run summary table;
 * :mod:`repro.pipeline.results` — canonical per-image findings and
   the fleet-level rollup;
-* :mod:`repro.pipeline.faultinject` — the deterministic fault-injection
-  harness behind the chaos suite and ``--inject``.
+
+The deterministic fault-injection harness behind the chaos suite and
+``--inject`` lives below this layer, in :mod:`repro.faultinject`; its
+job-facing names are re-exported here.
 """
 
+from repro.faultinject import (
+    FaultInjector,
+    FaultSpec,
+    injected,
+    pick_target,
+)
 from repro.pipeline.cache import (
     ReportCache,
     SummaryCache,
@@ -23,12 +31,6 @@ from repro.pipeline.cache import (
     collect_garbage,
     report_fingerprint,
     summary_fingerprint,
-)
-from repro.pipeline.faultinject import (
-    FaultInjector,
-    FaultSpec,
-    injected,
-    pick_target,
 )
 from repro.pipeline.results import (
     ResultsStore,

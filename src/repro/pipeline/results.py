@@ -200,6 +200,17 @@ def _write_json(path, document):
     return path
 
 
+def image_filename(job_id):
+    """The ``images/`` file name for a job id.
+
+    A job id with path separators (e.g. derived from an image path)
+    must not escape the images/ directory — os.path.join silently
+    discards every prefix before an absolute component.
+    """
+    safe_id = str(job_id).replace(os.sep, "_").lstrip("_")
+    return "%s.json" % (safe_id or "job")
+
+
 class ResultsStore:
     """Writes per-image findings and the fleet rollup to a directory.
 
@@ -211,12 +222,8 @@ class ResultsStore:
 
     def write_image(self, result):
         """Persist one job's result; returns the path written."""
-        # A job id with path separators (e.g. derived from an image
-        # path) must not escape the images/ directory — os.path.join
-        # silently discards every prefix before an absolute component.
-        safe_id = str(result.job.job_id).replace(os.sep, "_").lstrip("_")
         path = os.path.join(
-            self.out_dir, "images", "%s.json" % (safe_id or "job")
+            self.out_dir, "images", image_filename(result.job.job_id)
         )
         return _write_json(path, image_document(result))
 

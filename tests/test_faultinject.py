@@ -30,14 +30,14 @@ from repro.errors import (
     SymExecError,
     SymexecFault,
 )
-from repro.loader.binary import load_elf
-from repro.loader.link import build_executable
-from repro.pipeline.faultinject import (
+from repro.faultinject import (
     FaultInjector,
     FaultSpec,
     injected,
     pick_target,
 )
+from repro.loader.binary import load_elf
+from repro.loader.link import build_executable
 from repro.symexec.engine import SymbolicEngine
 
 _HANDLER = (

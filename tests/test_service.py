@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.errors import MalformedInput
+from repro.faultinject import injected
 from repro.loader.link import build_executable
 from repro.pipeline import (
     FleetJob,
@@ -32,7 +33,6 @@ from repro.pipeline import (
     execute_job,
     findings_fingerprint,
 )
-from repro.pipeline.faultinject import injected
 from repro.service import (
     AnalysisDaemon,
     JobQueue,
@@ -354,6 +354,27 @@ class TestMigration:
             with open(os.path.join(export_dir, relative), "rb") as handle:
                 assert handle.read() == original, relative
         db.close()
+
+    def test_export_keeps_hostile_job_ids_inside_images(self, tmp_path,
+                                                        elf_path):
+        out_dir = self._populated_out_dir(tmp_path, elf_path)
+        path = os.path.join(out_dir, "images", "img-a.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document["job_id"] = "../../escaped"
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
+        run_id, _ = migrate_output_dir(db, out_dir)
+        export_dir = str(tmp_path / "out2" / "deep")
+        written = export_run_dir(db, run_id, export_dir)
+        db.close()
+        root = os.path.realpath(export_dir) + os.sep
+        assert all(os.path.realpath(p).startswith(root) for p in written)
+        assert not os.path.exists(str(tmp_path / "out2" / "escaped.json"))
+        assert sorted(os.listdir(os.path.join(export_dir, "images"))) == [
+            ".._.._escaped.json", "img-b.json",
+        ]
 
     def test_migrate_cli(self, tmp_path, elf_path, capsys):
         from repro.cli import main as cli_main

@@ -1,4 +1,4 @@
-"""Intra-image shard scheduling: planner, shared state, byte-identity.
+"""Intra-image shard scheduling: planner, blob shipping, byte-identity.
 
 The acceptance property of the whole subsystem is that sharding is
 *invisible* in the output: any shard count (including auto) must yield
@@ -6,8 +6,8 @@ a findings fingerprint and coverage counters byte-identical to the
 unsharded pipeline, because shards only repartition the
 pre-interprocedural work and the merge reassembles the exact state the
 serial tail would have seen.  Everything else here — planner
-determinism, component integrity, the vectorised call scout, shared
-read-only blocks, summary-blob shipping, the unsharded fallback —
+determinism, component integrity, the vectorised call scout,
+summary-blob shipping, fleet-index reuse, the unsharded fallback —
 exists in service of that property.
 """
 
@@ -17,11 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.corpus.fleet import build_version_pair
 from repro.corpus.profiles import analyzed_module_prefixes, build_firmware
-from repro.increment.index import FleetIndex, load_segment, pack_segment
 from repro.loader.link import build_executable
 from repro.pipeline import FleetJob, FleetScheduler, findings_fingerprint
-from repro.pipeline import sharedstate
 from repro.pipeline.shards import (
     AUTO_SHARDS,
     plan_shards,
@@ -29,7 +28,6 @@ from repro.pipeline.shards import (
 )
 from repro.pipeline.telemetry import Telemetry
 from repro.service import fleet_job_from_spec, job_spec
-from repro.symexec.value import attach_arena_seed, export_arena_seed
 
 IMAGE = "dir645"
 SCALE = 0.25    # smallest build whose cost clears two min-cost shards
@@ -207,6 +205,48 @@ class TestShardIdentity:
         assert findings_fingerprint(broken.report) == \
             findings_fingerprint(clean.report)
 
+    def test_fleet_index_sharding_matches_unsharded(self, tmp_path):
+        """Fleet-index runs, cold then warm: sharding stays invisible.
+
+        The warm run scans the patched release of the cold image, so
+        it misses the whole-image findings layer and the per-binary
+        bundle and has to reuse per-function summaries from the fleet
+        index: the shard workers read those records from disk.
+        """
+        old, new, _ = build_version_pair(IMAGE, scale=SCALE)
+        paths = []
+        for built, label in ((old, "old"), (new, "new")):
+            path = tmp_path / ("%s-%s.elf" % (IMAGE, label))
+            path.write_bytes(built.elf_bytes)
+            paths.append(str(path))
+        events = []
+        telemetry = Telemetry()
+        telemetry.add_sink(lambda record: events.append(dict(record)))
+        runs = {}
+        for shards in (0, 2):
+            cache_dir = str(tmp_path / ("cache-%d" % shards))
+            with FleetScheduler(jobs=1, backoff=0.0, cache_dir=cache_dir,
+                                use_fleet_index=True,
+                                telemetry=telemetry) as scheduler:
+                runs[shards] = [
+                    scheduler.run([_image_job(
+                        path, shards, job_id="%s-%d" % (label, shards)
+                    )])[0]
+                    for path, label in zip(paths, ("cold", "warm"))
+                ]
+        for unsharded, sharded in zip(runs[0], runs[2]):
+            assert unsharded.ok and sharded.ok
+            assert findings_fingerprint(sharded.report) == \
+                findings_fingerprint(unsharded.report)
+            assert sharded.report.get("coverage") == \
+                unsharded.report.get("coverage")
+        warm_hits = runs[0][1].cache.get("fleet_hits", 0)
+        assert warm_hits > 0
+        assert runs[2][1].cache.get("fleet_hits", 0) == warm_hits
+        planned = {event["job"]: event["shards"] for event in events
+                   if event["event"] == "shard_plan"}
+        assert planned.get("warm-2", 0) >= 2
+
     def test_backoff_state_is_pruned_after_run(self, image_elf):
         with FleetScheduler(jobs=1, retries=2, backoff=0.01) as scheduler:
             result = scheduler.run(
@@ -220,65 +260,10 @@ class TestShardIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Shared read-only blocks.
+# Shard state carried to the merge.
 
 
 class TestSharedState:
-    def test_publish_attach_roundtrip(self):
-        payload = b"shard-shared-bytes" * 100
-        block = sharedstate.publish(payload)
-        try:
-            assert sharedstate.attach(block.ref) == payload
-        finally:
-            block.unlink()
-
-    def test_object_roundtrip_and_double_unlink(self):
-        block = sharedstate.publish_object({"records": [1, 2, 3]})
-        assert sharedstate.attach_object(block.ref) == {
-            "records": [1, 2, 3]
-        }
-        block.unlink()
-        block.unlink()      # owner-side release is idempotent
-
-    def test_attach_once_memoises_and_tolerates_unlinked(self):
-        block = sharedstate.publish(b"seed")
-        calls = []
-
-        def apply(data):
-            calls.append(data)
-            return len(data)
-
-        try:
-            assert sharedstate.attach_once(block.ref, apply) == 4
-            assert sharedstate.attach_once(block.ref, apply) == 4
-            assert len(calls) == 1      # second attach served by memo
-        finally:
-            block.unlink()
-        # A vanished block is a cache miss, never an error.
-        gone = ("file", "/nonexistent/dtaint-gone.shared", 4)
-        assert sharedstate.attach_once(gone, apply) is None
-
-    def test_arena_seed_roundtrip(self):
-        from repro.symexec.value import SymConst
-
-        SymConst(0x1234ABCD)        # ensure at least one pooled atom
-        seed = export_arena_seed(max_items=64)
-        assert attach_arena_seed(seed) > 0
-        block = sharedstate.publish(seed)
-        try:
-            assert attach_arena_seed(sharedstate.attach(block.ref)) > 0
-        finally:
-            block.unlink()
-
-    def test_index_segment_roundtrip(self, tmp_path):
-        records = {"c" * 16: b"record-one", "d" * 16: b"record-two"}
-        packed = pack_segment(records)
-        assert load_segment(packed) == records
-        assert load_segment(memoryview(packed)) == records
-        index = FleetIndex(str(tmp_path), "cfg")
-        index.attach_segment(load_segment(packed))
-        assert index._segment == records
-
     def test_summary_cache_blob_shipping(self, tmp_path):
         from repro.pipeline.cache import BoundSummaryCache
 
