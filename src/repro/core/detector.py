@@ -7,6 +7,8 @@ sanitization constraint checking, and returns a
 :class:`~repro.core.report.Report`.
 """
 
+import contextlib
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -41,6 +43,28 @@ def _forwardable(expr):
         isinstance(node, SymVar) and node.name in _FORMALS
         for node in walk(expr)
     )
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector for one analysis stage.
+
+    The analysis path creates no reference cycles, so reference
+    counting frees everything it drops and the collector's
+    generational scans over millions of live expression nodes are pure
+    overhead.  The collector is re-enabled on exit with no forced
+    collection.  When it is already off (a pool worker runs every job
+    with the collector off, and nested stages see their caller's
+    pause) this does nothing.  Usable as a decorator.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @dataclass
@@ -141,6 +165,7 @@ class DTaint:
             symbols = [s for s in symbols if config.function_filter(s.name)]
         return symbols
 
+    @gc_paused()
     def build_cfg(self):
         """Stage 0: CFG recovery over the selected functions.
 
@@ -199,6 +224,7 @@ class DTaint:
         self._prebuilt_structure = structure
         return self.summaries
 
+    @gc_paused()
     def analyze_functions(self):
         """Stage 1: static symbolic analysis, one summary per function.
 
@@ -237,6 +263,7 @@ class DTaint:
         self.timer.stop()
         return self.summaries
 
+    @gc_paused()
     def run_dataflow(self):
         """Stages 2-4: aliasing, similarity, interprocedural data flow."""
         if self.summaries is None:
@@ -321,6 +348,7 @@ class DTaint:
         self.timer.stop()
         return self.enriched
 
+    @gc_paused()
     def detect(self):
         """Stage 5: sinks, backward paths, sanitization checks.
 
@@ -484,6 +512,7 @@ class DTaint:
             self, "_degraded_callee_sites", 0
         )
 
+    @gc_paused()
     def run(self):
         """Run the full pipeline and return the report."""
         return self.detect()

@@ -257,12 +257,12 @@ class ExtractionTree:
     def walk(self):
         """Yield ``(path, node)`` depth-first; paths are '/'-joined
         labels and unique within the tree."""
-        def visit(node, prefix):
+        stack = [(self.root, "")]
+        while stack:
+            node, prefix = stack.pop()
             path = "%s/%s" % (prefix, node.label) if prefix else node.label
             yield path, node
-            for child in node.children:
-                yield from visit(child, path)
-        yield from visit(self.root, "")
+            stack.extend((child, path) for child in reversed(node.children))
 
     def nodes(self):
         return [node for _path, node in self.walk()]

@@ -264,6 +264,10 @@ def fingerprint_functions(binary, functions, call_graph):
             closure=closure,
             literals=literals[name],
         )
+    # networkx caches views that refer back to each graph; emptying
+    # both leaves those reference cycles holding nothing.
+    graph.clear()
+    condensed.clear()
     return out
 
 

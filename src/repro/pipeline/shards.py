@@ -41,8 +41,6 @@ two inputs.  ``tests/test_shards.py`` enforces this on the golden
 corpus for shard counts 1, 2 and auto.
 """
 
-import contextlib
-import gc
 import os
 import pickle
 import time
@@ -52,6 +50,7 @@ import networkx as nx
 import numpy as np
 
 from repro import profiling
+from repro.core.detector import gc_paused
 from repro.errors import PipelineError
 from repro.pipeline.cache import (
     ReportCache,
@@ -231,6 +230,10 @@ def plan_shards(costs, edges, shard_count, min_shard_cost=MIN_SHARD_COST):
         tuple(sorted(condensed.nodes[scc]["members"]))
         for scc in nx.topological_sort(condensed)
     ]
+    # networkx caches views that refer back to each graph; emptying
+    # both leaves those reference cycles holding nothing.
+    graph.clear()
+    condensed.clear()
     total = float(sum(costs.values()))
     effective = max(int(shard_count), 1)
     if min_shard_cost > 0:
@@ -343,31 +346,6 @@ def execute_phase(job, attempt, cache_dir=None, use_summary_cache=True,
     raise PipelineError("unknown shard phase %r" % job.shard_phase)
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Suspend the cyclic GC over an allocation-heavy region.
-
-    Unpickling a shard spill and the interprocedural enrichment both
-    allocate millions of small, mostly-acyclic expression nodes; the
-    generational collector's scans over them are pure overhead.  One
-    explicit collection on exit reclaims whatever cycles did form.
-
-    Inside a pool worker this is a no-op: the worker loop already has
-    gc disabled for the whole job and runs the catch-up collection
-    after posting the result (see ``_pool_worker_main``), so the
-    ``was_enabled`` guard keeps the collection off the critical path
-    there while direct callers (tests, one-shot runs) still get it.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-            gc.collect()
-
-
 def _unsharded_fallthrough(job, attempt, options):
     """Run the image unsharded in place (plan decided not to split)."""
     from repro.pipeline.scheduler import execute_job
@@ -460,7 +438,7 @@ def _plan_body(job, attempt, cache_dir, use_summary_cache,
             # skip recomputing closures on partial graphs.
             edges = sorted(
                 (caller, callee)
-                for caller, callee in detector.call_graph.graph.edges()
+                for caller, callee in detector.call_graph.edges()
                 if caller in costs and callee in costs
             )
             fingerprints_blob = pickle.dumps(
@@ -530,7 +508,7 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
 
     sp = job.shard_payload or {}
     baseline = profiling.PROFILER.snapshot()
-    with measure() as usage, _gc_paused():
+    with measure() as usage, gc_paused():
         with open(sp["spill"], "rb") as handle:
             data = handle.read()
         binary = load_elf(data, name=sp.get("bin_name", job.job_id))
@@ -655,7 +633,7 @@ def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
 
     sp = job.shard_payload or {}
     baseline = profiling.PROFILER.snapshot()
-    with measure() as usage, _gc_paused():
+    with measure() as usage, gc_paused():
         with open(sp["spill"], "rb") as handle:
             data = handle.read()
         binary = load_elf(data, name=sp.get("bin_name", job.job_id))

@@ -170,55 +170,32 @@ class SymbolicEngine:
         site = block.addr
         successors = []
 
-        def eval_expr(expr):
-            if isinstance(expr, Const):
-                return SymConst(expr.value)
-            if isinstance(expr, RdTmp):
-                return tmps[expr.tmp]
-            if isinstance(expr, Get):
-                value = state.get_reg(expr.reg)
-                if value is None:
-                    value = SymVar("init_%s" % expr.reg)
-                    state.set_reg(expr.reg, value)
-                return value
-            if isinstance(expr, Load):
-                addr = eval_expr(expr.addr)
-                value, hit = state.memory.read(addr, expr.size)
-                if not hit:
-                    folded = self._read_global(addr, expr.size)
-                    if folded is not None:
-                        return folded
-                    use = VarUse(var=value, site=site)
-                    if use not in uses_seen:
-                        uses_seen.add(use)
-                        summary.uses.append(use)
-                return value
-            if isinstance(expr, Binop):
-                return mk_binop(expr.op, eval_expr(expr.left),
-                                eval_expr(expr.right))
-            if isinstance(expr, Unop):
-                return mk_unop(expr.op, eval_expr(expr.arg))
-            if isinstance(expr, ITE):
-                return mk_ite(
-                    eval_expr(expr.cond), eval_expr(expr.iftrue),
-                    eval_expr(expr.iffalse),
-                )
-            raise SymExecError("cannot evaluate %r" % (expr,))
-
+        # ``_eval``'s context is passed positionally, never as
+        # ``*args``: a star-call misses CPython's inlined
+        # Python-to-Python call path and slows symexec markedly.
+        evaluate = self._eval
         for stmt in irsb.stmts:
             if isinstance(stmt, IMark):
                 site = stmt.addr
                 continue
             if isinstance(stmt, WrTmp):
-                tmps[stmt.tmp] = eval_expr(stmt.expr)
+                tmps[stmt.tmp] = evaluate(
+                    stmt.expr, state, tmps, site, summary, uses_seen
+                )
             elif isinstance(stmt, Put):
-                value = eval_expr(stmt.expr)
+                value = evaluate(
+                    stmt.expr, state, tmps, site, summary, uses_seen
+                )
                 state.set_reg(stmt.reg, value)
                 if self.track_register_defs:
                     summary.register_defs.append((stmt.reg, site, value))
             elif isinstance(stmt, Store):
-                addr = eval_expr(stmt.addr)
-                value = eval_expr(stmt.data)
+                addr = evaluate(
+                    stmt.addr, state, tmps, site, summary, uses_seen
+                )
+                value = evaluate(
+                    stmt.data, state, tmps, site, summary, uses_seen
+                )
                 state.memory.write(addr, value, stmt.size)
                 pair = DefPair(dest=mk_deref(addr, stmt.size), value=value,
                                site=site)
@@ -228,7 +205,9 @@ class SymbolicEngine:
                 if in_loop:
                     summary.loop_stores.append((site, pair.dest, value))
             elif isinstance(stmt, Exit):
-                guard = eval_expr(stmt.guard)
+                guard = evaluate(
+                    stmt.guard, state, tmps, site, summary, uses_seen
+                )
                 if isinstance(guard, SymConst):
                     if guard.value:
                         # Unconditionally taken.
@@ -259,7 +238,12 @@ class SymbolicEngine:
         if block.call is not None:
             # Regular calls lift as Ijk_Call; direct tail calls lift as
             # plain jumps but carry a CallSite from CFG recovery.
-            self._summarize_call(block, irsb, state, summary, eval_expr)
+            self._summarize_call(
+                block, irsb, state, summary,
+                lambda expr: evaluate(
+                    expr, state, tmps, site, summary, uses_seen
+                ),
+            )
             if block.successors:
                 successors.insert(0, (block.successors[0], state))
             else:
@@ -267,7 +251,9 @@ class SymbolicEngine:
                 summary.ret_values.append(SymRet(block.call.addr))
             return successors
 
-        next_value = eval_expr(irsb.next_expr)
+        next_value = evaluate(
+            irsb.next_expr, state, tmps, site, summary, uses_seen
+        )
         if isinstance(next_value, SymConst) and (
             next_value.value in function.blocks
         ):
@@ -280,6 +266,57 @@ class SymbolicEngine:
             if remaining:
                 successors.insert(0, (remaining[0], state))
         return successors
+
+    def _eval(self, expr, state, tmps, site, summary, uses_seen):
+        """Evaluate one IR expression to a symbolic value.
+
+        A method rather than a closure over the block's locals: a
+        self-recursive closure is a reference cycle, and one per block
+        execution would keep each path's state alive until the cyclic
+        collector ran.
+        """
+        if isinstance(expr, Const):
+            return SymConst(expr.value)
+        if isinstance(expr, RdTmp):
+            return tmps[expr.tmp]
+        if isinstance(expr, Get):
+            value = state.get_reg(expr.reg)
+            if value is None:
+                value = SymVar("init_%s" % expr.reg)
+                state.set_reg(expr.reg, value)
+            return value
+        evaluate = self._eval
+        if isinstance(expr, Load):
+            addr = evaluate(expr.addr, state, tmps, site, summary, uses_seen)
+            value, hit = state.memory.read(addr, expr.size)
+            if not hit:
+                folded = self._read_global(addr, expr.size)
+                if folded is not None:
+                    return folded
+                use = VarUse(var=value, site=site)
+                if use not in uses_seen:
+                    uses_seen.add(use)
+                    summary.uses.append(use)
+            return value
+        if isinstance(expr, Binop):
+            return mk_binop(
+                expr.op,
+                evaluate(expr.left, state, tmps, site, summary, uses_seen),
+                evaluate(expr.right, state, tmps, site, summary, uses_seen),
+            )
+        if isinstance(expr, Unop):
+            return mk_unop(
+                expr.op,
+                evaluate(expr.arg, state, tmps, site, summary, uses_seen),
+            )
+        if isinstance(expr, ITE):
+            return mk_ite(
+                evaluate(expr.cond, state, tmps, site, summary, uses_seen),
+                evaluate(expr.iftrue, state, tmps, site, summary, uses_seen),
+                evaluate(expr.iffalse, state, tmps, site, summary,
+                         uses_seen),
+            )
+        raise SymExecError("cannot evaluate %r" % (expr,))
 
     def _record_constraint(self, constraint, summary, seen):
         key = (constraint.expr, constraint.taken)
