@@ -15,13 +15,15 @@
                                  summary/report caching, retries and
                                  JSONL telemetry (``--incremental``
                                  adds cross-binary fleet dedup,
-                                 ``--baseline DIR`` a version delta)
+                                 ``--baseline DIR`` a version delta);
+                                 ``--out DIR`` records the run into
+                                 ``DIR/dtaint.sqlite``
 ``dtaint delta OLD NEW``      — diff two firmware versions: re-analyse
                                  only changed function closures,
                                  classify findings new/fixed/persisting
 ``dtaint cache gc``           — prune quarantined and stale-format
                                  entries from a cache directory (and,
-                                 with ``--results-db``, apply run/job
+                                 with ``--db``, apply run/job
                                  retention to the sqlite store)
 ``dtaint diffcheck``          — differential sweep of the static
                                  detector against a concrete-execution
@@ -32,16 +34,15 @@
 ``dtaint client``             — talk to a running daemon (submit /
                                  status / wait / findings / events /
                                  cancel / stats / shutdown)
-``dtaint results``            — migrate a JSON ``--out`` directory
-                                 into the sqlite results store, or
-                                 export a stored run back to JSON
+``dtaint results export``     — write a stored run out as the JSON
+                                 directory layout
 """
 
 import argparse
 import sys
 
 from repro.core import DTaint, DTaintConfig
-from repro.errors import MalformedInput, ReproError
+from repro.errors import MalformedInput, PipelineError, ReproError
 
 # Distinct exit codes so scripts wrapping the CLI can react to the
 # *kind* of failure, not just "nonzero":
@@ -220,7 +221,6 @@ def _cmd_fleet_scan(args):
     from repro.pipeline import (
         FleetJob,
         FleetScheduler,
-        ResultsStore,
         Telemetry,
         render_fleet_summary,
     )
@@ -256,6 +256,25 @@ def _cmd_fleet_scan(args):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    if args.baseline and not args.out:
+        print("--baseline requires --out (the delta report is recorded "
+              "with the run there)", file=sys.stderr)
+        return EXIT_USAGE
+    incremental = args.incremental or bool(args.baseline)
+    cache_dir = None if args.no_cache else args.cache_dir
+    if incremental and cache_dir is None:
+        print("--incremental/--baseline need a cache dir (conflicts "
+              "with --no-cache)", file=sys.stderr)
+        return EXIT_USAGE
+    baseline_docs = None
+    if args.baseline:
+        # Read before this run is recorded: with --baseline X --out X
+        # the baseline is the previous run, not this one.
+        db = _open_results(args.baseline)
+        if db is None:
+            return EXIT_USAGE
+        with db:
+            baseline_docs = db.baseline_documents()
     jobs = []
     for key in keys:
         fault = "crash" if key == args.inject_crash else ""
@@ -304,17 +323,6 @@ def _cmd_fleet_scan(args):
     if telemetry_path:
         os.makedirs(os.path.dirname(telemetry_path) or ".", exist_ok=True)
     telemetry = Telemetry(path=telemetry_path)
-
-    if args.baseline and not args.out:
-        print("--baseline requires --out (the delta report is written "
-              "there)", file=sys.stderr)
-        return EXIT_USAGE
-    incremental = args.incremental or bool(args.baseline)
-    cache_dir = None if args.no_cache else args.cache_dir
-    if incremental and cache_dir is None:
-        print("--incremental/--baseline need a cache dir (conflicts "
-              "with --no-cache)", file=sys.stderr)
-        return EXIT_USAGE
     scheduler = FleetScheduler(
         jobs=args.jobs,
         timeout=args.timeout or None,
@@ -332,21 +340,20 @@ def _cmd_fleet_scan(args):
 
     new_findings = 0
     if args.out:
-        store = ResultsStore(args.out)
-        for result in results:
-            store.write_image(result)
-        rollup = store.write_rollup(results, wall)
-        print("results: %s" % rollup)
-        if args.baseline:
-            new_findings = _fleet_baseline_delta(args, results, store)
-    if args.results_db:
-        from repro.service import ResultsDB
+        from repro.service import ResultsDB, default_db_path
 
-        with ResultsDB(args.results_db) as db:
-            run_id, _images = db.record_run(
-                results, wall, kind="fleet", source=args.out or "",
+        documents = {}
+        if baseline_docs is not None:
+            documents["delta.json"], new_findings = _fleet_baseline_delta(
+                args.baseline, baseline_docs, results,
             )
-        print("results db: %s (run %d)" % (args.results_db, run_id))
+        db_path = default_db_path(args.out)
+        with ResultsDB(db_path) as db:
+            run_id, _images = db.record_run(
+                results, wall, kind="fleet", source=args.out,
+                documents=documents,
+            )
+        print("results: %s (run %d)" % (db_path, run_id))
     if telemetry_path:
         print("telemetry: %s" % telemetry_path)
     print(render_fleet_summary(results, wall))
@@ -392,9 +399,12 @@ def _cmd_delta(args):
                     100.0 * stats.get("reuse_ratio", 0.0),
                 ))
     if args.out:
-        from repro.pipeline import ResultsStore
+        import os
 
-        path = ResultsStore(args.out).write_delta(delta_doc)
+        from repro.pipeline.results import _write_json
+
+        os.makedirs(args.out, exist_ok=True)
+        path = _write_json(os.path.join(args.out, "delta.json"), delta_doc)
         print("delta report: %s" % path)
     if args.fail_on_new and delta_doc["counts"]["new"]:
         return EXIT_FINDINGS
@@ -413,10 +423,11 @@ def _cmd_cache_gc(args):
            stats["tmp_removed"], stats["files_removed"],
            stats["stale_summaries"], stats["bytes_freed"])
     )
-    if args.results_db:
-        from repro.service import ResultsDB
-
-        with ResultsDB(args.results_db) as db:
+    if args.db:
+        db = _open_results(args.db)
+        if db is None:
+            return EXIT_USAGE
+        with db:
             db_stats = db.gc(
                 retain_runs=args.retain_runs,
                 retain_jobs=args.retain_jobs,
@@ -425,7 +436,7 @@ def _cmd_cache_gc(args):
         print(
             "results gc (%s): %s %d runs (%d images), %d queue jobs "
             "(%d events)"
-            % (args.results_db, verb, db_stats["runs_removed"],
+            % (db.path, verb, db_stats["runs_removed"],
                db_stats["images_removed"], db_stats["jobs_removed"],
                db_stats["events_removed"])
         )
@@ -647,30 +658,33 @@ def _fleet_scan_via_server(args, keys, images=()):
     return EXIT_ANALYSIS_FAILED if failed else EXIT_OK
 
 
-def _cmd_results_migrate(args):
-    from repro.service import ResultsDB, migrate_output_dir
+def _open_results(path):
+    """The one results reader (``--baseline``, ``results export``,
+    ``cache gc --db``): a database file or a ``--out`` directory.
+
+    Returns ``None`` after naming the path when there is no readable
+    store there; the file is left untouched either way.
+    """
+    from repro.service import open_results_db
 
     try:
-        with ResultsDB(args.db) as db:
-            run_id, counts = migrate_output_dir(db, args.out_dir)
-    except ReproError as exc:
-        print("migrate failed: %s" % exc, file=sys.stderr)
-        return EXIT_ANALYSIS_FAILED
-    print("migrated %s -> %s as run %d (%d images, %d documents, "
-          "rollup: %s)"
-          % (args.out_dir, args.db, run_id, counts["images"],
-             counts["documents"], "yes" if counts["rollup"] else "no"))
-    return EXIT_OK
+        return open_results_db(path)
+    except PipelineError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
 
 
 def _cmd_results_export(args):
-    from repro.service import ResultsDB, export_run_dir
+    from repro.service import export_run_dir
 
+    db = _open_results(args.db)
+    if db is None:
+        return EXIT_USAGE
     try:
-        with ResultsDB(args.db) as db:
+        with db:
             run_id = args.run if args.run is not None else db.latest_run_id()
             if run_id is None:
-                print("no runs in %s" % args.db, file=sys.stderr)
+                print("no runs in %s" % db.path, file=sys.stderr)
                 return EXIT_ANALYSIS_FAILED
             written = export_run_dir(db, run_id, args.out_dir)
     except ReproError as exc:
@@ -681,47 +695,12 @@ def _cmd_results_export(args):
     return EXIT_OK
 
 
-def _baseline_documents(baseline):
-    """Per-image baseline docs from a ``--out`` dir or a sqlite store.
-
-    Accepts the JSON layout (a directory with ``images/*.json``), a
-    results database file, or a directory containing ``dtaint.sqlite``
-    — so a delta can be computed against either generation of store.
-    """
-    import json
-    import os
-
-    db_path = None
-    if os.path.isfile(baseline):
-        db_path = baseline
-    elif os.path.isdir(baseline):
-        from repro.service import default_db_path
-
-        candidate = default_db_path(baseline)
-        if (os.path.isfile(candidate)
-                and not os.path.isdir(os.path.join(baseline, "images"))):
-            db_path = candidate
-    if db_path is not None:
-        from repro.service import ResultsDB
-
-        with ResultsDB(db_path) as db:
-            return db.baseline_documents()
-    documents = {}
-    images_dir = os.path.join(baseline, "images")
-    if os.path.isdir(images_dir):
-        for name in sorted(os.listdir(images_dir)):
-            if name.endswith(".json"):
-                with open(os.path.join(images_dir, name), "r") as handle:
-                    document = json.load(handle)
-                documents[document.get("job_id", name[:-5])] = document
-    return documents
-
-
-def _fleet_baseline_delta(args, results, store):
-    """--baseline DIR: diff this run's images against a previous run's."""
+def _fleet_baseline_delta(baseline, baseline_docs, results):
+    """--baseline: diff this run's images against their newest previous
+    documents; prints the per-image counts and returns the delta
+    document and the number of new findings."""
     from repro.increment import classify_findings, classify_functions
 
-    baseline_docs = _baseline_documents(args.baseline)
     deltas = {}
     for result in results:
         if not result.ok or result.report is None:
@@ -756,9 +735,7 @@ def _fleet_baseline_delta(args, results, store):
             "new": findings["new"],
             "fixed": findings["fixed"],
         }
-    document = {"baseline": args.baseline, "images": deltas}
-    path = store.write_delta(document)
-    print("baseline delta: %s" % path)
+    print("baseline delta vs %s:" % baseline)
     for job_id in sorted(deltas):
         delta = deltas[job_id]
         if delta.get("status") != "ok":
@@ -768,7 +745,7 @@ def _fleet_baseline_delta(args, results, store):
         print("  %s: %d new, %d fixed, %d persisting (%d closures changed)"
               % (job_id, counts["new"], counts["fixed"],
                  counts["persisting"], len(delta["changed"])))
-    return sum(
+    return {"baseline": baseline, "images": deltas}, sum(
         d["counts"]["new"] for d in deltas.values()
         if d.get("status") == "ok"
     )
@@ -779,7 +756,8 @@ def _cmd_diffcheck(args):
     import os
 
     from repro.diffcheck import ARCHES, DiffCheck
-    from repro.pipeline import ResultsStore, Telemetry
+    from repro.pipeline import Telemetry
+    from repro.pipeline.results import _write_json
 
     if args.count < 1:
         print("--count must be at least 1", file=sys.stderr)
@@ -806,7 +784,9 @@ def _cmd_diffcheck(args):
     else:
         print(report.render())
     if args.out:
-        path = ResultsStore(args.out).write_diffcheck(report.to_dict())
+        os.makedirs(args.out, exist_ok=True)
+        path = _write_json(os.path.join(args.out, "diffcheck.json"),
+                           report.to_dict())
         print("triage report: %s" % path)
     if telemetry_path:
         print("telemetry: %s" % telemetry_path)
@@ -966,9 +946,10 @@ def main(argv=None):
                                  "across binaries by position-independent "
                                  "fingerprint")
     fleet_scan.add_argument("--baseline", metavar="DIR",
-                            help="previous --out directory to diff "
-                                 "against; writes <out>/delta.json with "
-                                 "new/fixed/persisting findings per image "
+                            help="previous --out directory (or results "
+                                 "database) to diff against; records "
+                                 "delta.json with new/fixed/persisting "
+                                 "findings per image with this run "
                                  "(implies --incremental)")
     fleet_scan.add_argument("--fail-on-findings", action="store_true",
                             help="with --baseline: exit %d if any image "
@@ -979,12 +960,9 @@ def main(argv=None):
     fleet_scan.add_argument("--retries", type=int, default=1,
                             help="extra attempts after a crash/timeout")
     fleet_scan.add_argument("--out",
-                            help="directory for per-image findings + "
-                                 "fleet.json rollup")
-    fleet_scan.add_argument("--results-db", metavar="PATH",
-                            help="also record the run into a sqlite "
-                                 "results store (usable later as "
-                                 "--baseline)")
+                            help="directory whose results store "
+                                 "(dtaint.sqlite) records this run; "
+                                 "'results export' writes it as JSON")
     fleet_scan.add_argument("--server", metavar="URL",
                             help="submit to a running 'dtaint serve' "
                                  "daemon over HTTP instead of running "
@@ -1030,9 +1008,9 @@ def main(argv=None):
              "stale-format summaries",
     )
     cache_gc.add_argument("--cache-dir", default=".dtaint-cache")
-    cache_gc.add_argument("--results-db", metavar="PATH",
-                          help="sqlite results store to apply retention "
-                               "to as well")
+    cache_gc.add_argument("--db", metavar="PATH",
+                          help="results database (or --out directory) "
+                               "to apply retention to as well")
     cache_gc.add_argument("--retain-runs", type=int, default=None,
                           metavar="N",
                           help="keep only the newest N runs in the "
@@ -1171,26 +1149,18 @@ def main(argv=None):
                                            "--allow-shutdown)")
     client.set_defaults(func=_cmd_client)
 
-    results = sub.add_parser(
-        "results",
-        help="results-store maintenance (migrate, export)",
-    )
+    results = sub.add_parser("results", help="results-store export")
     results_sub = results.add_subparsers(dest="results_command",
                                          required=True)
-    r_migrate = results_sub.add_parser(
-        "migrate",
-        help="import a JSON --out directory into the sqlite store "
-             "(lossless)",
-    )
-    r_migrate.add_argument("out_dir", help="previous --out directory")
-    r_migrate.add_argument("--db", default="dtaint.sqlite")
-    r_migrate.set_defaults(func=_cmd_results_migrate)
     r_export = results_sub.add_parser(
         "export",
-        help="write a stored run back out as the JSON directory layout",
+        help="write a stored run out as the JSON directory layout "
+             "(fleet.json, images/<id>.json, delta.json)",
     )
     r_export.add_argument("out_dir", help="destination directory")
-    r_export.add_argument("--db", default="dtaint.sqlite")
+    r_export.add_argument("--db", default="dtaint.sqlite",
+                          help="results database, or an --out directory "
+                               "holding one")
     r_export.add_argument("--run", type=int, default=None,
                           help="run id (default: latest)")
     r_export.set_defaults(func=_cmd_results_export)

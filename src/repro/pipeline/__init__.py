@@ -11,7 +11,7 @@ The paper evaluates DTaint one image at a time; its workload is a
 * :mod:`repro.pipeline.telemetry` — structured JSONL run events and
   the end-of-run summary table;
 * :mod:`repro.pipeline.results` — canonical per-image findings and
-  the fleet-level rollup;
+  the fleet-level rollup documents;
 
 The deterministic fault-injection harness behind the chaos suite and
 ``--inject`` lives below this layer, in :mod:`repro.faultinject`; its
@@ -33,7 +33,6 @@ from repro.pipeline.cache import (
     summary_fingerprint,
 )
 from repro.pipeline.results import (
-    ResultsStore,
     canonical_report,
     findings_fingerprint,
     image_document,
@@ -58,7 +57,7 @@ __all__ = [
     "SummaryCache", "ReportCache", "binary_sha256",
     "summary_fingerprint", "report_fingerprint", "collect_garbage",
     "Telemetry", "read_events", "render_fleet_summary",
-    "ResultsStore", "canonical_report", "findings_fingerprint",
+    "canonical_report", "findings_fingerprint",
     "image_document", "rollup_document",
     "FaultInjector", "FaultSpec", "injected", "pick_target",
 ]

@@ -1,12 +1,15 @@
 """Machine-readable fleet results: per-image findings + rollup.
 
-The store writes two kinds of artefact under the output directory:
+Two document builders define what a run persists (the sqlite store in
+:mod:`repro.service.store` records them, ``dtaint results export``
+writes them out as files):
 
-* ``images/<job-id>.json`` — one file per analysed image holding the
-  *canonical* findings document (see :func:`canonical_report`) plus
-  run metadata (status, attempts, timings, cache counters).
-* ``fleet.json`` — the fleet-level rollup: per-image rows, aggregate
-  counters, and the cache totals.
+* :func:`image_document` — ``images/<job-id>.json``, one per analysed
+  image, holding the *canonical* findings document (see
+  :func:`canonical_report`) plus run metadata (status, attempts,
+  timings, cache counters).
+* :func:`rollup_document` — ``fleet.json``, the fleet-level rollup:
+  per-image rows, aggregate counters, and the cache totals.
 
 Canonicalisation exists for one hard requirement: a parallel fleet
 run must produce **byte-identical** findings to a serial run.  Wall
@@ -87,11 +90,10 @@ def findings_fingerprint(report_dict):
 def image_document(result):
     """The per-image results document for one terminal job result.
 
-    This is the *only* builder of the per-image shape: the JSON store
-    (:class:`ResultsStore`), the sqlite store
-    (:class:`repro.service.store.ResultsDB`) and the analysis daemon
-    all persist exactly this document, which is what makes migration
-    between the two stores lossless.
+    This is the *only* builder of the per-image shape: ``fleet-scan
+    --out`` and the analysis daemon both record exactly this document
+    into :class:`repro.service.store.ResultsDB`, and ``results export``
+    writes it back out unchanged.
     """
     document = {
         "job_id": result.job.job_id,
@@ -209,40 +211,3 @@ def image_filename(job_id):
     """
     safe_id = str(job_id).replace(os.sep, "_").lstrip("_")
     return "%s.json" % (safe_id or "job")
-
-
-class ResultsStore:
-    """Writes per-image findings and the fleet rollup to a directory.
-
-    All writes are atomic (see :func:`_write_json`)."""
-
-    def __init__(self, out_dir):
-        self.out_dir = out_dir
-        os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
-
-    def write_image(self, result):
-        """Persist one job's result; returns the path written."""
-        path = os.path.join(
-            self.out_dir, "images", image_filename(result.job.job_id)
-        )
-        return _write_json(path, image_document(result))
-
-    def write_diffcheck(self, triage_dict):
-        """Persist a differential sweep's triage report.
-
-        ``triage_dict`` is :meth:`repro.diffcheck.TriageReport.to_dict`
-        output: divergence counts, the CI verdict, and one minimized
-        reproducer per divergence.  Returns the path written.
-        """
-        path = os.path.join(self.out_dir, "diffcheck.json")
-        return _write_json(path, triage_dict)
-
-    def write_delta(self, delta_doc, name="delta.json"):
-        """Persist a version-delta document; returns the path written."""
-        path = os.path.join(self.out_dir, name)
-        return _write_json(path, delta_doc)
-
-    def write_rollup(self, results, wall_seconds):
-        """Persist ``fleet.json`` summarising the whole run."""
-        path = os.path.join(self.out_dir, "fleet.json")
-        return _write_json(path, rollup_document(results, wall_seconds))

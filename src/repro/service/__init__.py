@@ -4,10 +4,10 @@ The paper's fleet (1,463 firmware images, 3.8M functions) is a
 sustained workload, not a one-shot CLI run.  This package turns the
 pipeline into a long-running service:
 
-* :mod:`repro.service.store` — ResultsStore v2: one WAL-mode sqlite
+* :mod:`repro.service.store` — the results store: one WAL-mode sqlite
   file holding runs, per-image canonical findings (indexed), coverage,
   auxiliary documents, the durable job queue and the mirrored
-  telemetry stream; lossless migration to/from the JSON layout;
+  telemetry stream; the JSON directory layout is an export of it;
 * :mod:`repro.service.queue` — the durable queue: priorities,
   idempotent submission keyed by image+config fingerprint, crash-safe
   resume;
@@ -51,7 +51,7 @@ from repro.service.store import (
     ResultsDB,
     default_db_path,
     export_run_dir,
-    migrate_output_dir,
+    open_results_db,
 )
 
 try:
@@ -64,7 +64,7 @@ __all__ = [
     "JobQueue", "job_spec", "dedup_key",
     "PENDING", "RUNNING", "DONE", "FAILED", "CANCELLED", "DEAD",
     "STATES", "TERMINAL_STATES", "POISON_ERROR_TYPES",
-    "ResultsDB", "migrate_output_dir", "export_run_dir",
+    "ResultsDB", "open_results_db", "export_run_dir",
     "default_db_path", "DB_FILENAME", "SCHEMA_VERSION",
     "ServiceClient", "ServiceError", "ServiceTimeout",
     "ServiceServer", "serve",

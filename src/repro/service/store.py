@@ -1,8 +1,9 @@
-"""ResultsStore v2: the indexed sqlite results + queue store.
+"""The results store: one indexed sqlite file for results and queue.
 
-One WAL-mode sqlite file (``dtaint.sqlite``) replaces the per-run
-``images/*.json`` + ``fleet.json`` document tree with queryable
-history:
+Every run -- ``fleet-scan --out DIR`` and each daemon batch -- is
+recorded into one WAL-mode sqlite file (``dtaint.sqlite``) with
+queryable history; the ``fleet.json`` + ``images/*.json`` directory
+layout is only an export view of one run (:func:`export_run_dir`):
 
 * ``runs`` — one row per fleet batch (rollup document verbatim);
 * ``images`` — one row per analysed image, carrying the **exact**
@@ -12,25 +13,27 @@ history:
   kind / sink for fleet-wide queries;
 * ``coverage`` — the per-image coverage counters, queryable without
   parsing JSON;
-* ``documents`` — auxiliary run artefacts (``delta.json``,
-  ``diffcheck.json``) so a whole output directory migrates losslessly;
+* ``documents`` — auxiliary run artefacts (``delta.json``) exported
+  next to the images;
 * ``queue_jobs`` + ``events`` — the durable job queue
   (:mod:`repro.service.queue`) and the mirrored telemetry stream the
   REST API serves as per-job progress.
 
-Two guarantees carry over from the JSON store:
+Two guarantees:
 
 * **canonical-findings fingerprint** — the stored per-image document
-  embeds the same canonical findings section and ``findings_sha256``
-  the JSON store writes; migrating a directory into the DB and
-  exporting it back reproduces the documents exactly;
+  is exactly what :func:`repro.pipeline.results.image_document`
+  builds, canonical findings and ``findings_sha256`` included, and
+  exporting it reproduces that document byte for byte;
 * **crash safety** — writes happen inside sqlite transactions (WAL
   journal), so a worker killed mid-write rolls back to the previous
   consistent state; the ``results`` fault-injection probe fires
   inside the transaction to prove it.  A database file that cannot
   even be opened (torn beyond journal recovery, or not sqlite at all)
   is quarantined to ``<name>.corrupt`` exactly like a corrupt summary
-  bundle, and a fresh store is started in its place.
+  bundle, and a fresh store is started in its place -- but only when
+  opened for writing: :func:`open_results_db`, the reader, refuses
+  such a file and leaves it untouched.
 """
 
 import json
@@ -54,6 +57,7 @@ from repro.pipeline.results import (
 # idempotent schema below.
 SCHEMA_VERSION = 2
 DB_FILENAME = "dtaint.sqlite"
+_SQLITE_HEADER = b"SQLite format 3\x00"
 
 # Cross-process lock discipline: sqlite blocks up to busy_timeout for
 # a competing writer, and on top of that every BEGIN/COMMIT retries a
@@ -193,6 +197,31 @@ def default_db_path(out_dir):
     return os.path.join(out_dir, DB_FILENAME)
 
 
+def open_results_db(path):
+    """Open an existing store to read: a file, or a dir with ``dtaint.sqlite``.
+
+    ``ResultsDB(path)`` creates a missing store and quarantines an
+    unreadable one; this reader does neither.  A missing path or a
+    file that is not a sqlite database raises :class:`PipelineError`
+    naming the path and leaves the file as it was.
+    """
+    if os.path.isdir(path):
+        path = default_db_path(path)
+    try:
+        with open(path, "rb") as handle:
+            header = handle.read(len(_SQLITE_HEADER))
+    except OSError as exc:
+        raise PipelineError("cannot read results database %s: %s"
+                            % (path, exc.strerror))
+    if header != _SQLITE_HEADER:
+        raise PipelineError("not a results database: %s" % path)
+    try:
+        return ResultsDB(path, quarantine=False)
+    except sqlite3.DatabaseError as exc:
+        raise PipelineError("unreadable results database %s: %s"
+                            % (path, exc))
+
+
 class ResultsDB:
     """The sqlite-backed results + queue store (WAL mode, thread-safe).
 
@@ -202,7 +231,7 @@ class ResultsDB:
     the file back to the previous consistent state.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, quarantine=True):
         self.path = path
         self.basename = os.path.basename(path)
         self.quarantined = 0
@@ -210,12 +239,14 @@ class ResultsDB:
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        self._conn = self._open_with_quarantine()
+        self._conn = self._open(quarantine)
 
-    def _open_with_quarantine(self):
+    def _open(self, quarantine):
         try:
             return self._connect()
         except sqlite3.DatabaseError:
+            if not quarantine:
+                raise
             # Not a database / corrupt beyond journal recovery: move
             # the evidence aside and start clean, like the summary
             # cache does for torn bundles.
@@ -277,8 +308,11 @@ class ResultsDB:
     # -- write paths -------------------------------------------------------
 
     def record_run(self, results, wall_seconds, kind="fleet", source="",
-                   queue_job_ids=None, finisher=None):
+                   queue_job_ids=None, finisher=None, documents=None):
         """Persist one fleet batch; returns ``(run_id, job->image map)``.
+
+        ``documents`` maps auxiliary artefact names (``delta.json``) to
+        documents stored with the run, in the same transaction.
 
         The whole batch is one transaction: the ``results``
         fault-injection probe fires between the inserts and the
@@ -304,29 +338,15 @@ class ResultsDB:
                     conn, run_id, document,
                     queue_job_ids.get(result.job.job_id),
                 )
+            for name, document in sorted((documents or {}).items()):
+                conn.execute(
+                    "INSERT INTO documents(run_id, name, document_json) "
+                    "VALUES (?, ?, ?)", (run_id, name, _dumps(document)),
+                )
             if finisher is not None:
                 finisher(conn, run_id, image_ids)
             faultinject.check("results", self.basename)
         return run_id, image_ids
-
-    def import_run(self, rollup, image_documents, documents=None,
-                   kind="migrated", source=""):
-        """Insert pre-built documents (migration path); returns run_id."""
-        with self._transaction() as conn:
-            run_id = self._insert_run(
-                conn, kind, source,
-                (rollup or {}).get("wall_seconds", 0.0), rollup or {},
-            )
-            for document in image_documents:
-                self._insert_image(conn, run_id, document, None)
-            for name, document in sorted((documents or {}).items()):
-                conn.execute(
-                    "INSERT OR REPLACE INTO documents"
-                    "(run_id, name, document_json) VALUES (?, ?, ?)",
-                    (run_id, name, _dumps(document)),
-                )
-            faultinject.check("results", self.basename)
-        return run_id
 
     def _insert_run(self, conn, kind, source, wall_seconds, rollup):
         cursor = conn.execute(
@@ -458,17 +478,21 @@ class ResultsDB:
             "documents": documents,
         }
 
-    def baseline_documents(self, run_id=None):
-        """Per-image documents to diff a new run against (latest run).
+    def baseline_documents(self):
+        """``{job_id: newest per-image document}`` across all runs.
 
-        This is the DB-backed equivalent of reading a previous
-        ``--out`` directory's ``images/*.json``: ``fleet-scan
-        --baseline`` accepts either form.
+        What ``fleet-scan --baseline`` diffs against: a run that
+        rescanned a subset of images leaves the other images' previous
+        documents as their baseline.
         """
-        run_id = run_id if run_id is not None else self.latest_run_id()
-        if run_id is None:
-            return {}
-        return self.image_documents(run_id)
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT job_id, document_json FROM images WHERE image_id "
+                "IN (SELECT MAX(image_id) FROM images GROUP BY job_id)"
+            ).fetchall()
+        return {
+            row["job_id"]: json.loads(row["document_json"]) for row in rows
+        }
 
     def query_findings(self, function=None, kind=None, section=None,
                        run_id=None, limit=200):
@@ -702,54 +726,16 @@ def _file_size(path):
 
 
 # ---------------------------------------------------------------------------
-# Migration (``dtaint results migrate`` / ``export``).
-
-
-def migrate_output_dir(db, out_dir):
-    """Import a JSON ``--out`` directory into the sqlite store.
-
-    Reads ``fleet.json`` (optional), every ``images/*.json``, and the
-    auxiliary ``delta.json`` / ``diffcheck.json`` documents; inserts
-    them verbatim as one run.  Returns ``(run_id, counts)``.  The
-    import is lossless: :meth:`ResultsDB.export_run` reproduces every
-    document exactly.
-    """
-    if not os.path.isdir(out_dir):
-        raise PipelineError("not an output directory: %s" % out_dir)
-    rollup = _load_json(os.path.join(out_dir, "fleet.json"))
-    image_docs = []
-    images_dir = os.path.join(out_dir, "images")
-    if os.path.isdir(images_dir):
-        for name in sorted(os.listdir(images_dir)):
-            if name.endswith(".json"):
-                image_docs.append(
-                    _load_json(os.path.join(images_dir, name))
-                )
-    documents = {}
-    for name in ("delta.json", "diffcheck.json"):
-        document = _load_json(os.path.join(out_dir, name))
-        if document is not None:
-            documents[name] = document
-    if rollup is None and not image_docs and not documents:
-        raise PipelineError("nothing to migrate in %s" % out_dir)
-    run_id = db.import_run(
-        rollup or {}, image_docs, documents,
-        kind="migrated", source=os.path.abspath(out_dir),
-    )
-    return run_id, {
-        "images": len(image_docs),
-        "documents": len(documents),
-        "rollup": int(rollup is not None),
-    }
+# The JSON view (``dtaint results export``).
 
 
 def export_run_dir(db, run_id, out_dir):
-    """Write one run back out as the JSON directory layout.
+    """Write one run out as the ``fleet.json`` + ``images/*.json`` layout.
 
-    The inverse of :func:`migrate_output_dir`: files are written by
-    the JSON store's own atomic writer and named by its job-id rule,
-    so a migrate → export round trip is byte-identical and no job id
-    can place a file outside ``images/``.
+    Files go through the atomic :func:`_write_json` and are named by
+    :func:`image_filename`, so each file is byte-identical to the
+    document builder's output serialised directly, and no job id can
+    place a file outside ``images/``.
     """
     exported = db.export_run(run_id)
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
@@ -766,14 +752,3 @@ def export_run_dir(db, run_id, out_dir):
     for name, document in exported["documents"].items():
         written.append(_write_json(os.path.join(out_dir, name), document))
     return written
-
-
-def _load_json(path):
-    try:
-        with open(path, "r") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        return None
-    except ValueError as exc:
-        raise PipelineError("unreadable results document %s: %s"
-                            % (path, exc))

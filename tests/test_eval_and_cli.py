@@ -241,6 +241,23 @@ class TestExitCodes:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--baseline", "prev"],
+        ["--incremental", "--no-cache"],
+        ["--out", "run", "--baseline", "prev", "--no-cache"],
+    ])
+    def test_fleet_scan_flag_conflicts_exit_2_before_opening_files(
+            self, tmp_path, capsys, flags):
+        telemetry = tmp_path / "events.jsonl"
+        rc = cli_main([
+            "fleet-scan", "dir645", "--scale", "0.05",
+            "--telemetry", str(telemetry),
+        ] + [str(tmp_path / f) if f in ("prev", "run") else f
+             for f in flags])
+        assert rc == 2
+        assert not telemetry.exists()
+        assert not (tmp_path / "run").exists()
+
     def test_fleet_scan_quarantine_exits_3(self, capsys):
         rc = cli_main([
             "fleet-scan", "dir645", "--scale", "0.05", "--jobs", "1",

@@ -13,8 +13,10 @@ Acceptance properties:
   the changed Merkle closure;
 * delta reports classify the injected patch as `fixed` with nothing
   spurious, and a self-delta is empty and byte-identical;
-* `cache gc` prunes quarantine/tmp/stale-version files; ResultsStore
-  writes are atomic under injected mid-write faults.
+* `cache gc` prunes quarantine/tmp/stale-version files; exporting a
+  stored run is atomic per file under injected mid-write faults;
+* `fleet-scan --baseline` diffs against the newest previous document
+  of every image and records `delta.json` with the run.
 """
 
 import json
@@ -52,7 +54,7 @@ from repro.pipeline import (
     findings_fingerprint,
 )
 from repro.pipeline.cache import CACHE_FORMAT_VERSION, summary_fingerprint
-from repro.pipeline.results import ResultsStore
+from repro.service import ResultsDB, export_run_dir
 
 SCALE = 0.05
 KEY = "dir645"
@@ -428,36 +430,39 @@ class TestAtomicResults:
 
     def test_mid_write_fault_leaves_previous_file_intact(self, tmp_path):
         result = self._result(tmp_path)
-        store = ResultsStore(str(tmp_path / "out"))
-        first = store.write_rollup([result], 1.0)
+        out = str(tmp_path / "out")
+        with ResultsDB(str(tmp_path / "dtaint.sqlite")) as db:
+            first_run, _ = db.record_run([result], 1.0)
+            second_run, _ = db.record_run([result], 2.0)
+            export_run_dir(db, first_run, out)
+            first = os.path.join(out, "fleet.json")
+            with open(first) as handle:
+                before = handle.read()
+            with injected(["malformed@results:fleet.json"]):
+                with pytest.raises(MalformedInput):
+                    export_run_dir(db, second_run, out)
+            with open(first) as handle:
+                assert handle.read() == before
+            leftovers = [name for name in os.listdir(out)
+                         if ".tmp." in name]
+            assert leftovers == []
+            # The export recovers once the fault is gone.
+            export_run_dir(db, second_run, out)
         with open(first) as handle:
-            before = handle.read()
-        with injected(["malformed@results:fleet.json"]):
-            with pytest.raises(MalformedInput):
-                store.write_rollup([result], 2.0)
-        with open(first) as handle:
-            assert handle.read() == before
-        leftovers = [
-            name for name in os.listdir(str(tmp_path / "out"))
-            if ".tmp." in name
-        ]
-        assert leftovers == []
-        # The store recovers once the fault is gone.
-        store.write_rollup([result], 3.0)
-        with open(first) as handle:
-            assert json.load(handle)["wall_seconds"] == 3.0
+            assert json.load(handle)["wall_seconds"] == 2.0
 
     def test_image_write_is_atomic_under_fault(self, tmp_path):
         result = self._result(tmp_path)
-        store = ResultsStore(str(tmp_path / "out"))
+        out = str(tmp_path / "out")
         target = "%s.json" % result.job.job_id
-        with injected(["malformed@results:%s" % target]):
-            with pytest.raises(MalformedInput):
-                store.write_image(result)
-        images = os.listdir(str(tmp_path / "out" / "images"))
-        assert images == []
-        path = store.write_image(result)
-        with open(path) as handle:
+        with ResultsDB(str(tmp_path / "dtaint.sqlite")) as db:
+            run_id, _ = db.record_run([result], 1.0)
+            with injected(["malformed@results:%s" % target]):
+                with pytest.raises(MalformedInput):
+                    export_run_dir(db, run_id, out)
+            assert os.listdir(os.path.join(out, "images")) == []
+            export_run_dir(db, run_id, out)
+        with open(os.path.join(out, "images", target)) as handle:
             assert json.load(handle)["status"] == "ok"
 
 
@@ -502,3 +507,72 @@ class TestCLI:
         assert "removed 1 corrupt" in capsys.readouterr().out
         assert not os.path.exists(os.path.join(root, "reports",
                                                "x.json.corrupt"))
+
+
+class TestFleetBaselineCLI:
+    """``fleet-scan --out`` records into sqlite; ``--baseline`` diffs
+    against the newest previous document of every image."""
+
+    def _scan(self, tmp_path, out, *argv):
+        from repro.cli import main
+
+        return main([
+            "fleet-scan", *argv, "--jobs", "1", "--scale", str(SCALE),
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(tmp_path / out),
+        ])
+
+    def _exported_delta(self, tmp_path, run_dir):
+        from repro.cli import main
+
+        export_dir = tmp_path / (run_dir + "-export")
+        assert main(["results", "export", str(export_dir),
+                     "--db", str(tmp_path / run_dir)]) == 0
+        with open(str(export_dir / "delta.json")) as handle:
+            return json.load(handle)["images"]
+
+    def test_baseline_delta_is_recorded_and_exported(self, tmp_path,
+                                                     capsys):
+        assert self._scan(tmp_path, "r1", KEY) == 0
+        assert self._scan(tmp_path, "r2", KEY, "--incremental",
+                          "--baseline", str(tmp_path / "r1"),
+                          "--fail-on-findings") == 0
+        out = capsys.readouterr().out
+        assert "%s: 0 new, 0 fixed" % KEY in out
+        assert "dtaint.sqlite (run 1)" in out
+        delta = self._exported_delta(tmp_path, "r2")[KEY]
+        assert delta["status"] == "ok"
+        assert delta["counts"]["new"] == delta["counts"]["fixed"] == 0
+        assert delta["counts"]["persisting"] > 0
+        export_dir = tmp_path / "r2-export"
+        assert (export_dir / "fleet.json").exists()
+        assert (export_dir / "images" / ("%s.json" % KEY)).exists()
+
+    def test_same_out_dir_diffs_against_the_previous_run(self, tmp_path,
+                                                         capsys):
+        # The previous run quarantined the image, so every finding of
+        # this run is new -- a diff against this run itself would say
+        # 0 new and exit 0.
+        assert self._scan(tmp_path, "r", KEY, "--inject-crash", KEY,
+                          "--retries", "0") == 3
+        assert self._scan(tmp_path, "r", KEY,
+                          "--baseline", str(tmp_path / "r"),
+                          "--fail-on-findings") == 1
+        capsys.readouterr()
+        delta = self._exported_delta(tmp_path, "r")[KEY]
+        assert delta["status"] == "ok"
+        assert delta["counts"]["new"] > 0
+        assert delta["counts"]["persisting"] == 0
+
+    def test_subset_rescan_keeps_other_images_as_baseline(self, tmp_path,
+                                                          capsys):
+        assert self._scan(tmp_path, "r", KEY) == 0
+        assert self._scan(tmp_path, "r", "dgn1000") == 0
+        assert self._scan(tmp_path, "r2", KEY, "dgn1000",
+                          "--baseline", str(tmp_path / "r")) == 0
+        capsys.readouterr()
+        deltas = self._exported_delta(tmp_path, "r2")
+        assert sorted(deltas) == ["dgn1000", KEY]
+        for delta in deltas.values():
+            assert delta["status"] == "ok"
+            assert delta["counts"]["new"] == delta["counts"]["fixed"] == 0

@@ -25,7 +25,6 @@ from repro.pipeline import (
     FleetJob,
     FleetScheduler,
     ReportCache,
-    ResultsStore,
     SummaryCache,
     Telemetry,
     binary_sha256,
@@ -320,14 +319,17 @@ class TestTelemetryAndResults:
             _profile_job("dir645"),
             _profile_job("dir890l", fault="crash", fault_attempts=10 ** 6),
         ])
-        store = ResultsStore(str(tmp_path))
+        from repro.service import ResultsDB, export_run_dir
+
+        with ResultsDB(str(tmp_path / "dtaint.sqlite")) as db:
+            run_id, _ = db.record_run(results, wall_seconds=1.0)
+            export_run_dir(db, run_id, str(tmp_path / "out"))
         for result in results:
-            image_path = store.write_image(result)
-            with open(image_path) as handle:
+            with open(tmp_path / "out" / "images"
+                      / ("%s.json" % result.job.job_id)) as handle:
                 document = json.load(handle)
             assert document["status"] == result.status
-        rollup_path = store.write_rollup(results, wall_seconds=1.0)
-        with open(rollup_path) as handle:
+        with open(tmp_path / "out" / "fleet.json") as handle:
             rollup = json.load(handle)
         assert rollup["totals"]["jobs"] == 2
         assert rollup["totals"]["ok"] == 1
@@ -381,10 +383,21 @@ class TestScanJsonCLI:
             "--scale", str(SCALE), "--no-cache", "--out", out_dir,
         ])
         assert rc == 0
-        assert "Fleet scan" in capsys.readouterr().out
-        with open(tmp_path / "out" / "fleet.json") as handle:
-            assert json.load(handle)["totals"]["ok"] == 1
+        out = capsys.readouterr().out
+        assert "Fleet scan" in out
+        assert "%s (run 1)" % (tmp_path / "out" / "dtaint.sqlite") in out
         assert read_events(str(tmp_path / "out" / "telemetry.jsonl"))
+        export_dir = str(tmp_path / "export")
+        assert cli_main(["results", "export", export_dir,
+                         "--db", out_dir]) == 0
+        with open(tmp_path / "export" / "fleet.json") as handle:
+            assert json.load(handle)["totals"]["ok"] == 1
+        # The exported findings fingerprint is the in-process one.
+        report = execute_job(_profile_job("dir645"))["report"]
+        with open(tmp_path / "export" / "images" / "dir645.json") as handle:
+            assert json.load(handle)["findings_sha256"] == (
+                findings_fingerprint(report)
+            )
 
     def test_fleet_scan_unknown_profile(self, capsys):
         from repro.cli import main as cli_main

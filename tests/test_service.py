@@ -6,9 +6,10 @@ Covers the acceptance properties of DTaint-as-a-service:
   crashed workers without losing isolation;
 * queue lifecycle: idempotent submission, priority ordering,
   submit → cancel, crash-safe resume on daemon restart;
-* ResultsStore v2: record/export round trips, lossless migration of a
-  JSON output directory, fault-injected mid-write rollback, corrupt
-  database quarantine, retention GC;
+* the results store: record/export round trips, byte-identical JSON
+  export, fault-injected mid-write rollback, corrupt database
+  quarantine (writers only -- the reader leaves bad files alone),
+  retention GC;
 * end-to-end REST: submit over HTTP, poll to completion, query
   findings — with the same ``findings_sha256`` an in-process run
   produces.
@@ -28,10 +29,11 @@ from repro.pipeline import (
     FleetJob,
     FleetScheduler,
     JobResult,
-    ResultsStore,
     WorkerPool,
     execute_job,
     findings_fingerprint,
+    image_document,
+    rollup_document,
 )
 from repro.service import (
     AnalysisDaemon,
@@ -42,7 +44,6 @@ from repro.service import (
     dedup_key,
     export_run_dir,
     job_spec,
-    migrate_output_dir,
     serve,
     verify_roundtrip,
 )
@@ -231,10 +232,7 @@ class TestResultsDB:
     def test_record_run_round_trips_image_documents(self, tmp_path,
                                                     elf_path):
         result = _job_result(elf_path)
-        store = ResultsStore(str(tmp_path / "out"))
-        json_path = store.write_image(result)
-        with open(json_path) as handle:
-            json_doc = json.load(handle)
+        json_doc = image_document(result)
         db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
         run_id, image_ids = db.record_run([result], 1.25)
         stored = db.image_documents(run_id)[result.job.job_id]
@@ -311,61 +309,44 @@ class TestResultsDB:
         db.close()
 
 
-class TestMigration:
-    def _populated_out_dir(self, tmp_path, elf_path):
-        out_dir = str(tmp_path / "out")
-        store = ResultsStore(out_dir)
-        results = [_job_result(elf_path, job_id="img-a"),
-                   _job_result(elf_path, job_id="img-b")]
-        for result in results:
-            store.write_image(result)
-        store.write_rollup(results, 2.5)
-        store.write_delta({"baseline": "x", "images": {}})
-        return out_dir
-
-    def test_migrate_is_lossless(self, tmp_path, elf_path):
-        out_dir = self._populated_out_dir(tmp_path, elf_path)
+class TestExport:
+    def _recorded_run(self, tmp_path, elf_path, job_ids=("img-a", "img-b")):
+        results = [_job_result(elf_path, job_id=job_id)
+                   for job_id in job_ids]
         db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
-        run_id, counts = migrate_output_dir(db, out_dir)
-        assert counts == {"images": 2, "documents": 1, "rollup": 1}
-        exported = db.export_run(run_id)
-        with open(os.path.join(out_dir, "fleet.json")) as handle:
-            assert exported["rollup"] == json.load(handle)
-        for job_id in ("img-a", "img-b"):
-            with open(os.path.join(
-                    out_dir, "images", "%s.json" % job_id)) as handle:
-                assert exported["images"][job_id] == json.load(handle)
-        with open(os.path.join(out_dir, "delta.json")) as handle:
-            assert exported["documents"]["delta.json"] == json.load(handle)
-        db.close()
+        run_id, _ = db.record_run(
+            results, 2.5, documents={"delta.json": {"images": {}}},
+        )
+        return db, run_id, results
 
-    def test_migrate_export_round_trip_is_byte_identical(self, tmp_path,
-                                                         elf_path):
-        out_dir = self._populated_out_dir(tmp_path, elf_path)
-        db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
-        run_id, _ = migrate_output_dir(db, out_dir)
+    def test_export_is_byte_identical_to_document_builders(self, tmp_path,
+                                                           elf_path):
+        db, run_id, results = self._recorded_run(tmp_path, elf_path)
         export_dir = str(tmp_path / "export")
         export_run_dir(db, run_id, export_dir)
-        for relative in ("fleet.json", "delta.json",
-                         os.path.join("images", "img-a.json"),
-                         os.path.join("images", "img-b.json")):
-            with open(os.path.join(out_dir, relative), "rb") as handle:
-                original = handle.read()
-            with open(os.path.join(export_dir, relative), "rb") as handle:
-                assert handle.read() == original, relative
         db.close()
+        expected = {
+            "fleet.json": rollup_document(results, 2.5),
+            "delta.json": {"images": {}},
+        }
+        for result in results:
+            expected[os.path.join("images", result.job.job_id + ".json")] = (
+                image_document(result)
+            )
+        for relative, document in expected.items():
+            with open(os.path.join(export_dir, relative)) as handle:
+                assert handle.read() == json.dumps(
+                    document, indent=2, sort_keys=True), relative
+        for result in results:
+            assert image_document(result)["findings_sha256"] == (
+                findings_fingerprint(result.report)
+            )
 
     def test_export_keeps_hostile_job_ids_inside_images(self, tmp_path,
                                                         elf_path):
-        out_dir = self._populated_out_dir(tmp_path, elf_path)
-        path = os.path.join(out_dir, "images", "img-a.json")
-        with open(path) as handle:
-            document = json.load(handle)
-        document["job_id"] = "../../escaped"
-        with open(path, "w") as handle:
-            json.dump(document, handle)
-        db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
-        run_id, _ = migrate_output_dir(db, out_dir)
+        db, run_id, _ = self._recorded_run(
+            tmp_path, elf_path, job_ids=("../../escaped", "img-b"),
+        )
         export_dir = str(tmp_path / "out2" / "deep")
         written = export_run_dir(db, run_id, export_dir)
         db.close()
@@ -376,26 +357,119 @@ class TestMigration:
             ".._.._escaped.json", "img-b.json",
         ]
 
-    def test_migrate_cli(self, tmp_path, elf_path, capsys):
+    def test_baseline_documents_are_newest_per_job_across_runs(
+            self, tmp_path, elf_path):
+        db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
+        first = _job_result(elf_path, job_id="img-a")
+        db.record_run([first, _job_result(elf_path, job_id="img-b")], 1.0)
+        rescan = _job_result(elf_path, job_id="img-a")
+        rescan.attempts = 2
+        db.record_run([rescan], 1.0)
+        baseline = db.baseline_documents()
+        db.close()
+        assert sorted(baseline) == ["img-a", "img-b"]
+        assert baseline["img-a"]["attempts"] == 2
+
+
+class TestResultsReader:
+    """``--baseline``, ``results export`` and ``cache gc --db`` read
+    through one reader that never creates, renames or rewrites."""
+
+    def _not_a_db(self, tmp_path):
+        path = tmp_path / "base.json"
+        path.write_text('{"images": {}}')
+        return str(path)
+
+    def _assert_untouched(self, path):
+        with open(path) as handle:
+            assert handle.read() == '{"images": {}}'
+        assert not os.path.exists(path + ".corrupt")
+
+    @pytest.mark.parametrize("argv", [
+        ["results", "export", "{out}", "--db", "{db}"],
+        ["fleet-scan", "dir645", "--scale", "0.05", "--out", "{out}",
+         "--baseline", "{db}"],
+        ["cache", "gc", "--cache-dir", "{out}", "--db", "{db}"],
+    ])
+    def test_non_sqlite_file_exits_2_and_is_left_alone(self, tmp_path,
+                                                       capsys, argv):
         from repro.cli import main as cli_main
 
-        out_dir = self._populated_out_dir(tmp_path, elf_path)
-        db_path = str(tmp_path / "dtaint.sqlite")
-        assert cli_main(["results", "migrate", out_dir,
-                         "--db", db_path]) == 0
-        assert "2 images" in capsys.readouterr().out
-        export_dir = str(tmp_path / "export")
-        assert cli_main(["results", "export", export_dir,
-                         "--db", db_path]) == 0
-        assert os.path.exists(
-            os.path.join(export_dir, "images", "img-a.json")
+        db_path = self._not_a_db(tmp_path)
+        out = str(tmp_path / "out")
+        argv = [a.format(out=out, db=db_path) for a in argv]
+        assert cli_main(argv) == 2
+        assert "not a results database: %s" % db_path in (
+            capsys.readouterr().err
         )
+        self._assert_untouched(db_path)
+        assert not os.path.exists(os.path.join(out, "dtaint.sqlite"))
 
-    def test_migrate_rejects_empty_dir(self, tmp_path):
-        db = ResultsDB(str(tmp_path / "dtaint.sqlite"))
-        with pytest.raises(Exception):
-            migrate_output_dir(db, str(tmp_path))
-        db.close()
+    @pytest.mark.parametrize("command", ["export", "baseline"])
+    def test_missing_path_exits_2_naming_it(self, tmp_path, capsys,
+                                            command):
+        from repro.cli import main as cli_main
+
+        missing = str(tmp_path / "nonexistent")
+        out = str(tmp_path / "out")
+        argv = (["results", "export", out, "--db", missing]
+                if command == "export" else
+                ["fleet-scan", "dir645", "--scale", "0.05", "--out", out,
+                 "--baseline", missing, "--fail-on-findings"])
+        assert cli_main(argv) == 2
+        assert missing in capsys.readouterr().err
+        assert not os.path.exists(missing)
+        # Nothing ran, so the run's output directory was not created.
+        assert not os.path.exists(out)
+
+    def test_directory_without_store_exits_2_naming_db_path(self, tmp_path,
+                                                            capsys):
+        from repro.cli import main as cli_main
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert cli_main(["results", "export", str(tmp_path / "out"),
+                         "--db", str(empty)]) == 2
+        assert str(empty / "dtaint.sqlite") in capsys.readouterr().err
+        assert os.listdir(str(empty)) == []
+
+    def test_reader_accepts_db_file_and_out_dir(self, tmp_path, elf_path):
+        from repro.service import open_results_db
+
+        path = str(tmp_path / "dtaint.sqlite")
+        with ResultsDB(path) as db:
+            db.record_run([_job_result(elf_path)], 1.0)
+        for target in (path, str(tmp_path)):
+            with open_results_db(target) as db:
+                assert list(db.baseline_documents()) == ["img"]
+
+    def test_cache_gc_db_applies_retention_to_an_out_dir(self, tmp_path,
+                                                         elf_path, capsys):
+        from repro.cli import main as cli_main
+
+        with ResultsDB(str(tmp_path / "dtaint.sqlite")) as db:
+            for _ in range(3):
+                db.record_run([_job_result(elf_path)], 1.0)
+        assert cli_main(["cache", "gc", "--cache-dir",
+                         str(tmp_path / "cache"), "--db", str(tmp_path),
+                         "--retain-runs", "1"]) == 0
+        assert "removed 2 runs" in capsys.readouterr().out
+        with ResultsDB(str(tmp_path / "dtaint.sqlite")) as db:
+            assert len(db.run_ids()) == 1
+
+    def test_reader_never_quarantines_a_torn_database(self, tmp_path):
+        from repro.errors import PipelineError
+        from repro.service import open_results_db
+
+        path = str(tmp_path / "dtaint.sqlite")
+        blob = b"SQLite format 3\x00" + b"\xff" * 200
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        with pytest.raises(PipelineError, match="dtaint.sqlite"):
+            open_results_db(path)
+        with open(path, "rb") as handle:
+            assert handle.read() == blob
+        assert not os.path.exists(path + ".corrupt")
 
 
 # ---------------------------------------------------------------------------

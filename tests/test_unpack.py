@@ -263,19 +263,20 @@ class TestResultsStorePaths:
         # Firmware job ids can derive from image paths; an absolute
         # component must not escape the output directory via
         # os.path.join's prefix-discarding behaviour.
-        from repro.pipeline.results import ResultsStore
         from repro.pipeline.scheduler import FleetJob, JobResult
+        from repro.service import ResultsDB, export_run_dir
 
-        store = ResultsStore(str(tmp_path / "out"))
         result = JobResult(
             job=FleetJob("/tmp/evil.bin.0", kind="firmware",
                          path="/tmp/evil.bin", member="x"),
             status="ok", report={"vulnerabilities": []}, sha256="0" * 64,
         )
-        written = store.write_image(result)
+        with ResultsDB(str(tmp_path / "dtaint.sqlite")) as db:
+            run_id, _ = db.record_run([result], 1.0)
+            written = export_run_dir(db, run_id, str(tmp_path / "out"))
         images_dir = str(tmp_path / "out" / "images")
-        assert written.startswith(images_dir)
-        assert "/" not in written[len(images_dir) + 1:]
+        [image_path] = [p for p in written if p.startswith(images_dir)]
+        assert "/" not in image_path[len(images_dir) + 1:]
 
 
 class TestServiceSpecs:
