@@ -114,7 +114,7 @@ def _parse_shift(tokens, line):
     if not tokens:
         return 0, 0
     if len(tokens) != 1:
-        raise AssemblyError("trailing operands %r" % (tokens,), line)
+        raise AssemblyError("trailing operands %r" % (list(tokens),), line)
     parts = tokens[0].split()
     if len(parts) != 2 or parts[0].lower() not in enc.SHIFT_BY_NAME:
         raise AssemblyError("bad shift %r" % tokens[0], line)
@@ -131,26 +131,27 @@ def _parse_shift(tokens, line):
 
 
 class _InsnSpec:
-    """A parsed instruction awaiting final encoding.
+    """One occurrence of a parsed instruction awaiting final encoding.
 
-    ``pool_expr`` is set for ``ldr rd, =expr`` pseudo-instructions;
-    ``label_expr`` for branch targets and ``adr``.
+    ``form`` is the parse of the line's text, shared by every copy of
+    that text in one :meth:`ArmAssembler.assemble` call:
+    ``(base, cond, flags, operands, pool_expr, label_expr)``.
+    ``pool_expr`` is set for ``ldr rd, =expr`` pseudo-instructions,
+    ``label_expr`` for branch targets and ``adr``.  ``pool_offset``
+    (the literal's section offset) is set when its pool is placed.
     """
 
     __slots__ = (
-        "base", "cond", "flags", "operands", "line",
-        "pool_expr", "pool_index", "label_expr",
+        "text", "base", "cond", "flags", "operands", "line",
+        "pool_expr", "pool_offset", "label_expr",
     )
 
-    def __init__(self, base, cond, flags, operands, line):
-        self.base = base
-        self.cond = cond
-        self.flags = flags
-        self.operands = operands
+    def __init__(self, text, form, line):
+        self.text = text
+        (self.base, self.cond, self.flags, self.operands,
+         self.pool_expr, self.label_expr) = form
         self.line = line
-        self.pool_expr = None
-        self.pool_index = None
-        self.label_expr = None
+        self.pool_offset = None
 
 
 class ArmAssembler:
@@ -163,10 +164,12 @@ class ArmAssembler:
         parsed = asmlang.parse_source(source, self.comment_chars)
         extern_symbols = dict(extern_symbols or {})
 
-        # Pass 1: parse instructions, compute layout per section.
+        # Pass 1: parse instructions, compute layout per section.  Each
+        # distinct line text is parsed once per call (``forms``).
+        forms = {}
         layouts = {}
         for name, items in parsed.sections.items():
-            layouts[name] = self._layout_section(name, items)
+            layouts[name] = self._layout_section(items, forms)
 
         bases = self._place_sections(layouts, section_bases)
 
@@ -179,10 +182,13 @@ class ArmAssembler:
                     raise AssemblyError("duplicate label %r" % label)
                 symbols[label] = base + offset
 
-        # Pass 2: encode.
+        # Pass 2: encode.  ``words`` holds the encoding of each
+        # address-free line text; ``symbols`` is fixed for the call, so
+        # movw/movt against a label may be reused too.
+        words = {}
         sections = {}
         for name, layout in layouts.items():
-            data = self._encode_section(layout, bases[name], symbols)
+            data = self._encode_section(layout, bases[name], symbols, words)
             sections[name] = (bases[name], data)
 
         return AssembledProgram(
@@ -192,29 +198,35 @@ class ArmAssembler:
     # ------------------------------------------------------------------
     # Pass 1.
 
-    def _layout_section(self, name, items):
+    def _layout_section(self, items, forms):
         records = []        # (offset, size, kind, payload)
         labels = {}
         offset = 0
-        pool = []           # pending literal expressions (deduped)
+        pool = {}           # pending literal expression -> pool index
+        pooled = []         # specs loading from the pending pool
 
         def flush_pool():
-            nonlocal offset, pool
+            nonlocal offset, pool, pooled
             if not pool:
                 return
             records.append((offset, 4 * len(pool), "pool", list(pool)))
+            for spec in pooled:
+                spec.pool_offset = offset + 4 * pool[spec.pool_expr]
             offset += 4 * len(pool)
-            pool = []
+            pool, pooled = {}, []
 
         for item in items:
             if item.kind == "label":
                 labels[item.text] = offset
             elif item.kind == "insn":
-                spec = self._parse_insn(item.text, item.line)
+                form = forms.get(item.text)
+                if form is None:
+                    form = forms[item.text] = self._parse_insn(
+                        item.text, item.line)
+                spec = _InsnSpec(item.text, form, item.line)
                 if spec.pool_expr is not None:
-                    if spec.pool_expr not in pool:
-                        pool.append(spec.pool_expr)
-                    spec.pool_index = pool.index(spec.pool_expr)
+                    pool.setdefault(spec.pool_expr, len(pool))
+                    pooled.append(spec)
                 records.append((offset, 4, "insn", spec))
                 offset += 4
             elif item.kind == "ltorg":
@@ -264,54 +276,45 @@ class ArmAssembler:
     # Instruction parsing.
 
     def _parse_insn(self, text, line):
+        """Parse one line's text into an :class:`_InsnSpec` ``form``."""
         parts = text.split(None, 1)
         base, cond, flags = _parse_mnemonic(parts[0], line)
-        operands = _split_operands(parts[1]) if len(parts) > 1 else []
-        spec = _InsnSpec(base, cond, flags, operands, line)
+        operands = tuple(_split_operands(parts[1])) if len(parts) > 1 else ()
+        pool_expr = label_expr = None
         if base == "ldr" and operands and operands[-1].startswith("="):
-            spec.pool_expr = operands[-1][1:].strip()
+            pool_expr = operands[-1][1:].strip()
         elif base in ("b", "bl"):
             if len(operands) != 1:
                 raise AssemblyError("branch needs one target", line)
-            spec.label_expr = operands[0]
+            label_expr = operands[0]
         elif base == "adr":
             if len(operands) != 2:
                 raise AssemblyError("adr needs rd, label", line)
-            spec.label_expr = operands[1]
-        return spec
+            label_expr = operands[1]
+        return base, cond, flags, operands, pool_expr, label_expr
 
     # ------------------------------------------------------------------
     # Pass 2.
 
-    def _encode_section(self, layout, base, symbols):
+    def _encode_section(self, layout, base, symbols, words):
         out = bytearray(layout["size"])
-        pool_bases = {}
         for offset, size, kind, payload in layout["records"]:
-            if kind == "pool":
-                pool_bases[id(payload)] = (offset, payload)
-
-        # Map each pooled expression occurrence to its literal address.
-        pools_in_order = [
-            (offset, payload)
-            for offset, size, kind, payload in layout["records"]
-            if kind == "pool"
-        ]
-
-        def pool_addr_for(record_offset, expr):
-            for pool_offset, exprs in pools_in_order:
-                if pool_offset >= record_offset and expr in exprs:
-                    return base + pool_offset + 4 * exprs.index(expr)
-            raise AssemblyError("no literal pool after offset 0x%x" % record_offset)
-
-        for offset, size, kind, payload in layout["records"]:
-            addr = base + offset
             if kind == "insn":
-                word = self._encode_insn(
-                    payload, addr, symbols,
-                    pool_addr_for(offset, payload.pool_expr)
-                    if payload.pool_expr is not None else None,
-                )
-                out[offset:offset + 4] = word.to_bytes(4, "little")
+                # Only b/bl/adr (label_expr) and literal loads (pool_expr)
+                # are pc-relative; every other line encodes alike anywhere.
+                if payload.pool_expr is None and payload.label_expr is None:
+                    word = words.get(payload.text)
+                    if word is None:
+                        word = words[payload.text] = self._encode_insn(
+                            payload, base + offset, symbols, None,
+                        ).to_bytes(4, "little")
+                else:
+                    word = self._encode_insn(
+                        payload, base + offset, symbols,
+                        base + payload.pool_offset
+                        if payload.pool_expr is not None else None,
+                    ).to_bytes(4, "little")
+                out[offset:offset + 4] = word
             elif kind == "pool":
                 for i, expr in enumerate(payload):
                     value = asmlang.eval_symbol_expr(expr, symbols) & 0xFFFFFFFF

@@ -66,6 +66,14 @@ def _unescape(raw):
 
 def strip_comment(line, comment_chars):
     """Remove trailing comments, respecting string literals."""
+    if '"' not in line:
+        # No string literal: the first marker ends the line.
+        cut = line.find("//")
+        for ch in comment_chars:
+            idx = line.find(ch)
+            if idx >= 0 and (cut < 0 or idx < cut):
+                cut = idx
+        return line if cut < 0 else line[:cut]
     in_string = False
     i = 0
     while i < len(line):

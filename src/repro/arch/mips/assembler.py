@@ -38,6 +38,11 @@ _SHIFTS = ("sll", "srl", "sra")
 _SHIFT_VARS = ("sllv", "srlv", "srav")
 _THREE_REG = ("addu", "subu", "and", "or", "xor", "nor", "slt", "sltu")
 _IMM_OPS = ("addiu", "slti", "sltiu", "andi", "ori", "xori")
+# Encoded relative to their own address; every other primitive encodes
+# the same wherever it sits (%hi/%lo only read the fixed symbol table).
+_PC_RELATIVE = frozenset(
+    ("beq", "bne", "blez", "bgtz", "bltz", "bgez", "j", "jal")
+)
 
 
 def parse_register(token, line=None):
@@ -59,11 +64,16 @@ def lo16(value):
 
 
 class _InsnSpec:
-    __slots__ = ("mnemonic", "operands", "line")
+    """One primitive instruction occurrence.
 
-    def __init__(self, mnemonic, operands, line):
-        self.mnemonic = mnemonic
-        self.operands = operands
+    ``form`` is ``(mnemonic, operands)``, shared by every copy of the
+    same primitive in one :meth:`MipsAssembler.assemble` call.
+    """
+
+    __slots__ = ("form", "line")
+
+    def __init__(self, form, line):
+        self.form = form
         self.line = line
 
 
@@ -76,8 +86,10 @@ class MipsAssembler:
         parsed = asmlang.parse_source(source, self.comment_chars)
         extern_symbols = dict(extern_symbols or {})
 
+        # Each distinct line text is split and expanded once per call.
+        forms = {}
         layouts = {
-            name: self._layout_section(items)
+            name: self._layout_section(items, forms)
             for name, items in parsed.sections.items()
         }
         bases = self._place_sections(layouts, section_bases)
@@ -89,11 +101,14 @@ class MipsAssembler:
                     raise AssemblyError("duplicate label %r" % label)
                 symbols[label] = bases[name] + offset
 
+        # Each distinct address-free primitive is encoded once per call;
+        # ``symbols`` is fixed for the call.
+        words = {}
         sections = {}
         for name, layout in layouts.items():
             sections[name] = (
                 bases[name],
-                self._encode_section(layout, bases[name], symbols),
+                self._encode_section(layout, bases[name], symbols, words),
             )
         return AssembledProgram(
             sections=sections, symbols=symbols, exported=set(parsed.exported)
@@ -102,40 +117,50 @@ class MipsAssembler:
     # ------------------------------------------------------------------
 
     def _expand_pseudo(self, mnemonic, ops, line):
-        """Expand one source line to a list of primitive _InsnSpec."""
+        """Expand one source line to a list of primitive forms."""
         if mnemonic == "nop":
-            return [_InsnSpec("sll", ["$zero", "$zero", "0"], line)]
+            return [("sll", ("$zero", "$zero", "0"))]
         if mnemonic == "move":
-            return [_InsnSpec("addu", [ops[0], ops[1], "$zero"], line)]
+            return [("addu", (ops[0], ops[1], "$zero"))]
         if mnemonic == "b":
-            return [_InsnSpec("beq", ["$zero", "$zero", ops[0]], line)]
+            return [("beq", ("$zero", "$zero", ops[0]))]
         if mnemonic == "beqz":
-            return [_InsnSpec("beq", [ops[0], "$zero", ops[1]], line)]
+            return [("beq", (ops[0], "$zero", ops[1]))]
         if mnemonic == "bnez":
-            return [_InsnSpec("bne", [ops[0], "$zero", ops[1]], line)]
+            return [("bne", (ops[0], "$zero", ops[1]))]
         if mnemonic == "li":
             value = parse_int(ops[1], line)
             if -0x8000 <= value <= 0x7FFF:
-                return [_InsnSpec("addiu", [ops[0], "$zero", str(value)], line)]
+                return [("addiu", (ops[0], "$zero", str(value)))]
             if 0 <= value <= 0xFFFF:
-                return [_InsnSpec("ori", [ops[0], "$zero", str(value)], line)]
+                return [("ori", (ops[0], "$zero", str(value)))]
             low = lo16(value)
             if low >= 0x8000:
                 low -= 0x10000
             return [
-                _InsnSpec("lui", [ops[0], str(hi16(value))], line),
-                _InsnSpec("addiu", [ops[0], ops[0], str(low)], line),
+                ("lui", (ops[0], str(hi16(value)))),
+                ("addiu", (ops[0], ops[0], str(low))),
             ]
         if mnemonic == "la":
             return [
-                _InsnSpec("lui", [ops[0], "%%hi(%s)" % ops[1]], line),
-                _InsnSpec("addiu", [ops[0], ops[0], "%%lo(%s)" % ops[1]], line),
+                ("lui", (ops[0], "%%hi(%s)" % ops[1])),
+                ("addiu", (ops[0], ops[0], "%%lo(%s)" % ops[1])),
             ]
         if mnemonic == "jalr" and len(ops) == 1:
-            return [_InsnSpec("jalr", ["$ra", ops[0]], line)]
-        return [_InsnSpec(mnemonic, ops, line)]
+            return [("jalr", ("$ra", ops[0]))]
+        return [(mnemonic, tuple(ops))]
 
-    def _layout_section(self, items):
+    def _parse_line(self, text, line):
+        """Split one instruction line and expand it to primitive forms."""
+        parts = text.split(None, 1)
+        ops = (
+            [op.strip() for op in parts[1].split(",")]
+            if len(parts) > 1
+            else []
+        )
+        return self._expand_pseudo(parts[0].lower(), ops, line)
+
+    def _layout_section(self, items, forms):
         records = []
         labels = {}
         offset = 0
@@ -143,15 +168,14 @@ class MipsAssembler:
             if item.kind == "label":
                 labels[item.text] = offset
             elif item.kind == "insn":
-                parts = item.text.split(None, 1)
-                mnemonic = parts[0].lower()
-                ops = (
-                    [op.strip() for op in parts[1].split(",")]
-                    if len(parts) > 1
-                    else []
-                )
-                for spec in self._expand_pseudo(mnemonic, ops, item.line):
-                    records.append((offset, 4, "insn", spec))
+                expanded = forms.get(item.text)
+                if expanded is None:
+                    expanded = forms[item.text] = self._parse_line(
+                        item.text, item.line)
+                for form in expanded:
+                    records.append(
+                        (offset, 4, "insn", _InsnSpec(form, item.line))
+                    )
                     offset += 4
             elif item.kind == "align":
                 boundary = 1 << parse_int(item.args[0], item.line)
@@ -211,13 +235,20 @@ class MipsAssembler:
         except AssemblyError:
             return asmlang.eval_symbol_expr(token, symbols, line)
 
-    def _encode_section(self, layout, base, symbols):
+    def _encode_section(self, layout, base, symbols, words):
         out = bytearray(layout["size"])
         for offset, size, kind, payload in layout["records"]:
-            addr = base + offset
             if kind == "insn":
-                word = self._encode_insn(payload, addr, symbols)
-                out[offset:offset + 4] = word.to_bytes(4, "big")
+                if payload.form[0] in _PC_RELATIVE:
+                    word = self._encode_insn(
+                        payload, base + offset, symbols).to_bytes(4, "big")
+                else:
+                    word = words.get(payload.form)
+                    if word is None:
+                        word = words[payload.form] = self._encode_insn(
+                            payload, base + offset, symbols,
+                        ).to_bytes(4, "big")
+                out[offset:offset + 4] = word
             elif kind == "bytes":
                 out[offset:offset + size] = payload
             elif kind == "ints":
@@ -231,7 +262,7 @@ class MipsAssembler:
         return bytes(out)
 
     def _encode_insn(self, spec, addr, symbols):
-        m, ops, line = spec.mnemonic, spec.operands, spec.line
+        (m, ops), line = spec.form, spec.line
         insn = None
         if m in _SHIFTS:
             insn = enc.MipsInsn(

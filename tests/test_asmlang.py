@@ -20,6 +20,12 @@ class TestStripComment:
     def test_double_slash(self):
         assert strip_comment("add r0, r1 // c-style", "@;") == "add r0, r1 "
 
+    def test_first_marker_wins(self):
+        assert strip_comment("mov r0, r1 ; a @ b // c", "@;") == "mov r0, r1 "
+        assert strip_comment("mov r0, r1 // a ; b @ c", "@;") == "mov r0, r1 "
+        assert strip_comment("mov r0, r1 @ a // b ; c", "@;") == "mov r0, r1 "
+        assert strip_comment("mov r0, r1", "@;") == "mov r0, r1"
+
     def test_comment_char_inside_string_preserved(self):
         line = '.asciz "a;b@c"'
         assert strip_comment(line, "@;") == line
