@@ -184,6 +184,10 @@ def parse_int(token, line=None):
 def eval_symbol_expr(expr, symbols, line=None):
     """Evaluate ``label``, ``number`` or ``label+number`` expressions."""
     expr = expr.strip()
+    # Labels first: most operands are plain labels, and a failed
+    # ``parse_int`` costs a raised and caught AssemblyError.
+    if expr in symbols:
+        return symbols[expr]
     for sep in ("+", "-"):
         idx = expr.rfind(sep)
         if idx > 0:
@@ -199,8 +203,6 @@ def eval_symbol_expr(expr, symbols, line=None):
         return parse_int(expr, line)
     except AssemblyError:
         pass
-    if expr in symbols:
-        return symbols[expr]
     raise AssemblyError("undefined symbol %r" % expr, line)
 
 

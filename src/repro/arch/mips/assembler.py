@@ -230,10 +230,7 @@ class MipsAssembler:
                 return hi16(value)
             low = lo16(value)
             return low - 0x10000 if low >= 0x8000 else low
-        try:
-            return parse_int(token, line)
-        except AssemblyError:
-            return asmlang.eval_symbol_expr(token, symbols, line)
+        return asmlang.eval_symbol_expr(token, symbols, line)
 
     def _encode_section(self, layout, base, symbols, words):
         out = bytearray(layout["size"])

@@ -251,11 +251,6 @@ def _cmd_fleet_scan(args):
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    try:
-        shards = _parse_shards(getattr(args, "shards", "0"))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     if args.baseline and not args.out:
         print("--baseline requires --out (the delta report is recorded "
               "with the run there)", file=sys.stderr)
@@ -282,7 +277,7 @@ def _cmd_fleet_scan(args):
             job_id=key, kind="profile", key=key, scale=args.scale,
             fault=fault, fault_attempts=10 ** 6 if fault else 0,
             faults=tuple(args.inject or ()),
-            shards=shards,
+            shards=args.shards,
             alias_engine=args.alias_engine,
         ))
     if images:
@@ -299,7 +294,7 @@ def _cmd_fleet_scan(args):
             image_id = base if not seen else "%s~%d" % (base, seen)
             try:
                 member_jobs = expand_firmware_jobs(
-                    job_id=image_id, path=image_path, shards=shards,
+                    job_id=image_id, path=image_path, shards=args.shards,
                     alias_engine=args.alias_engine,
                 )
             except OSError as exc:
@@ -470,7 +465,7 @@ def _cmd_serve(args):
         max_queue_depth=args.max_queue_depth,
         max_attempts=args.max_attempts,
         crash_threshold=args.crash_threshold,
-        shards=_parse_shards(getattr(args, "shards", "0")),
+        shards=args.shards,
         alias_engine=args.alias_engine,
     )
     server = serve(
@@ -608,22 +603,25 @@ def _parse_shards(value):
     return count
 
 
+def _shards_arg(value):
+    """argparse ``type`` for ``--shards``: a bad value is a usage error."""
+    try:
+        return _parse_shards(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _fleet_scan_via_server(args, keys, images=()):
     """fleet-scan --server: submit the fleet over HTTP and wait."""
     from repro.service import ServiceClient, ServiceError
 
-    try:
-        shards = _parse_shards(getattr(args, "shards", "0"))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     client = ServiceClient(args.server)
     try:
         client.healthz()
         submitted = []
         for key in keys:
             job = client.submit(kind="profile", key=key, scale=args.scale,
-                                shards=shards,
+                                shards=args.shards,
                                 alias_engine=args.alias_engine)
             submitted.append((key, job["job_id"]))
             print("submitted %s as job %d (%s)"
@@ -631,7 +629,7 @@ def _fleet_scan_via_server(args, keys, images=()):
         for image_path in images:
             try:
                 responses = client.submit_firmware(
-                    image_path, shards=shards,
+                    image_path, shards=args.shards,
                     alias_engine=args.alias_engine,
                 )
             except (OSError, ReproError) as exc:
@@ -926,7 +924,7 @@ def main(argv=None):
                                  "and scan: one job per embedded ELF "
                                  "(repeatable)")
     fleet_scan.add_argument(
-        "--shards", default="0", metavar="auto|N",
+        "--shards", default="0", type=_shards_arg, metavar="auto|N",
         help="split each image into cost-balanced shards scheduled "
              "across the worker pool ('auto' sizes from --jobs; 0 "
              "disables; findings are byte-identical either way)")
@@ -1054,7 +1052,8 @@ def main(argv=None):
     serve.add_argument("--telemetry",
                        help="also append the event stream to this "
                             "JSONL file")
-    serve.add_argument("--shards", default="0", metavar="auto|N",
+    serve.add_argument("--shards", default="0", type=_shards_arg,
+                       metavar="auto|N",
                        help="default shard count for submissions that "
                             "omit one ('auto' sizes from --workers; "
                             "0 = unsharded)")

@@ -153,7 +153,8 @@ class DTaint:
 
     # ------------------------------------------------------------------
 
-    def _selected_symbols(self):
+    def selected_symbols(self):
+        """The local function symbols this scan analyses."""
         symbols = self.binary.local_functions
         config = self.config
         if config.modules:
@@ -174,7 +175,7 @@ class DTaint:
         skipped; recovery proceeds for every other function.
         """
         self.timer.start("cfg")
-        symbols = self._selected_symbols()
+        symbols = self.selected_symbols()
         self._selected_count = sum(1 for s in symbols if not s.is_import)
 
         def on_fault(symbol, exc):
@@ -263,27 +264,35 @@ class DTaint:
         self.timer.stop()
         return self.summaries
 
+    def infer_and_alias(self):
+        """Type inference and the first alias pass, per summary.
+
+        Fills and returns the name -> TypeMap table.  A function whose
+        pass faults is degraded and its summary dropped.  Shard exec
+        tasks run this on their function subset.
+        """
+        alias_engine = get_engine(self.config.alias_engine)
+        self._types = {}
+        for name, summary in list(self.summaries.items()):
+            started = time.perf_counter()
+            try:
+                types = infer_types(summary)
+                self._types[name] = types
+                if self.config.enable_aliasing:
+                    alias_engine.apply(summary, types)
+            except Exception as exc:
+                self._degrade(name, summary.addr, "aliasing", exc, started)
+                del self.summaries[name]
+        return self._types
+
     @gc_paused()
     def run_dataflow(self):
         """Stages 2-4: aliasing, similarity, interprocedural data flow."""
         if self.summaries is None:
             self.analyze_functions()
         self.timer.start("aliasing")
-        alias_engine = get_engine(self.config.alias_engine)
         if self._types is None:
-            self._types = {}
-            for name, summary in list(self.summaries.items()):
-                started = time.perf_counter()
-                try:
-                    types = infer_types(summary)
-                    self._types[name] = types
-                    if self.config.enable_aliasing:
-                        alias_engine.apply(summary, types)
-                except Exception as exc:
-                    self._degrade(
-                        name, summary.addr, "aliasing", exc, started
-                    )
-                    del self.summaries[name]
+            self.infer_and_alias()
         self.timer.stop()
 
         self.timer.start("structure")
@@ -330,6 +339,7 @@ class DTaint:
             e.degraded_callee_sites for e in self.enriched.values()
         )
         if self.config.enable_aliasing:
+            alias_engine = get_engine(self.config.alias_engine)
             # A second alias pass connects imported callee definitions
             # with the caller's local pointer names.  It is interproc
             # summary application, so bill the walk to the interproc

@@ -190,34 +190,30 @@ def scan_image(path, config=None, cache_dir=None, member=""):
     preferred network-facing target), so a delta can compare two
     *image* releases directly.
     """
-    from repro.core import DTaint, DTaintConfig
-    from repro.increment.reuse import open_incremental_cache
-    from repro.loader.binary import load_elf
-    from repro.pipeline.cache import binary_sha256
+    from repro.core import DTaint
+    from repro.pipeline.scheduler import (
+        FleetJob,
+        load_job,
+        open_summary_cache,
+    )
 
     with open(path, "rb") as handle:
-        data = handle.read()
-    name = path
-    if data[:4] != b"\x7fELF" or member:
-        from repro.pipeline.scheduler import extract_member
-
-        display, data = extract_member(data, member, name=path)
-        name = "%s!%s" % (path, display)
-    sha = binary_sha256(data)
-    binary = load_elf(data, name=name)
-    config = config or DTaintConfig()
+        is_elf = handle.read(4) == b"\x7fELF"
+    loaded = load_job(FleetJob(
+        job_id=path, kind="elf" if is_elf and not member else "firmware",
+        path=path, member=member,
+    ))
+    config = config or loaded.config
     cache = (
-        open_incremental_cache(cache_dir, sha, config)
+        open_summary_cache(cache_dir, loaded.sha, config, incremental=True)
         if cache_dir else None
     )
-    detector = DTaint(binary, config=config, name=name, summary_cache=cache)
+    detector = DTaint(loaded.binary, config=config, name=loaded.name,
+                      summary_cache=cache)
     report = detector.run()
     if cache is not None:
         cache.flush()
-        fingerprints = {
-            name: {"local": fp.local, "closure": fp.closure}
-            for name, fp in cache.fingerprints.items()
-        }
+        fingerprints = cache.closure_fingerprints()
         cache_stats = cache.stats
     else:
         from repro.increment.fingerprint import fingerprint_functions
@@ -225,13 +221,13 @@ def scan_image(path, config=None, cache_dir=None, member=""):
         fingerprints = {
             name: {"local": fp.local, "closure": fp.closure}
             for name, fp in fingerprint_functions(
-                binary, detector.functions, detector.call_graph
+                loaded.binary, detector.functions, detector.call_graph
             ).items()
         }
         cache_stats = {}
     return {
-        "name": name,
-        "sha256": sha,
+        "name": loaded.name,
+        "sha256": loaded.sha,
         "findings": canonical_report(report.to_dict()),
         "fingerprints": fingerprints,
         "cache": cache_stats,

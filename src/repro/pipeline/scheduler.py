@@ -39,6 +39,7 @@ import time
 import zlib
 from dataclasses import dataclass, field, replace
 from multiprocessing import connection
+from typing import NamedTuple
 
 from repro import faultinject
 from repro.errors import (
@@ -149,44 +150,65 @@ class _Running:
         return self.worker.conn
 
 
-def _load_job_binary(job):
-    """Materialise the job's binary; returns (name, binary, config, sha)."""
+class LoadedJob(NamedTuple):
+    """A job's binary, ready to analyse."""
+
+    name: str
+    binary: object
+    config: object               # DTaintConfig
+    sha: str                     # content identity of ``elf_bytes``
+    elf_bytes: bytes
+
+
+def _read(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _job_config(job):
+    """The job's :class:`~repro.core.DTaintConfig` (the only derivation)."""
     from repro.core import DTaintConfig
 
     if job.kind == "profile":
-        from repro.corpus.profiles import (
-            analyzed_module_prefixes,
-            build_firmware,
-        )
+        from repro.corpus.profiles import analyzed_module_prefixes
+
+        modules = analyzed_module_prefixes(job.key)
+    else:
+        modules = tuple(job.modules)
+    return DTaintConfig(modules=modules, alias_engine=job.alias_engine)
+
+
+def load_job(job):
+    """Materialise the job's binary as a :class:`LoadedJob`.
+
+    Shard exec and merge tasks reload the ELF their plan spilled
+    (``shard_payload["spill"]``) instead of rebuilding or re-extracting
+    it.  A ``firmware`` job's sha is the *member's*, not the image's: a
+    binary carved out of firmware and the same binary scanned flat
+    share one cache identity, so summaries and findings transfer.
+    """
+    from repro.loader.binary import load_elf
+
+    binary = None
+    spill = (job.shard_payload or {}).get("spill")
+    if spill:
+        name, data = job.shard_payload["bin_name"], _read(spill)
+    elif job.kind == "profile":
+        from repro.corpus.profiles import build_firmware
 
         built = build_firmware(job.key, scale=job.scale)
-        config = DTaintConfig(modules=analyzed_module_prefixes(job.key),
-                              alias_engine=job.alias_engine)
-        return built.name, built.binary, config, binary_sha256(built.elf_bytes)
-    if job.kind == "elf":
-        from repro.loader.binary import load_elf
-
-        with open(job.path, "rb") as handle:
-            data = handle.read()
-        config = DTaintConfig(modules=tuple(job.modules),
-                              alias_engine=job.alias_engine)
-        return job.path, load_elf(data, name=job.path), config, binary_sha256(data)
-    if job.kind == "firmware":
-        from repro.loader.binary import load_elf
-
-        with open(job.path, "rb") as handle:
-            data = handle.read()
-        display, elf_bytes = extract_member(data, job.member,
-                                            name=job.path)
+        name, data, binary = built.name, built.elf_bytes, built.binary
+    elif job.kind == "elf":
+        name, data = job.path, _read(job.path)
+    elif job.kind == "firmware":
+        display, data = extract_member(_read(job.path), job.member,
+                                       name=job.path)
         name = "%s!%s" % (job.path, display)
-        config = DTaintConfig(modules=tuple(job.modules),
-                              alias_engine=job.alias_engine)
-        # The sha is the *member's*, not the image's: a binary carved
-        # out of firmware and the same binary scanned flat share one
-        # cache identity, so summaries and findings transfer.
-        return (name, load_elf(elf_bytes, name=name), config,
-                binary_sha256(elf_bytes))
-    raise PipelineError("unknown job kind %r" % job.kind)
+    else:
+        raise PipelineError("unknown job kind %r" % job.kind)
+    if binary is None:
+        binary = load_elf(data, name=name)
+    return LoadedJob(name, binary, _job_config(job), binary_sha256(data), data)
 
 
 def extract_member(data, member="", name=""):
@@ -249,6 +271,140 @@ def _inject_fault(job, attempt):
         raise PipelineError("injected failure in job %r" % job.job_id)
 
 
+def open_summary_cache(cache_dir, sha, config, incremental=False):
+    """The bound summary cache for one binary under ``cache_dir``.
+
+    ``incremental`` layers the per-binary bundle over the
+    content-addressed fleet index (:mod:`repro.increment`).
+    """
+    if incremental:
+        from repro.increment.reuse import open_incremental_cache
+
+        return open_incremental_cache(cache_dir, sha, config)
+    return SummaryCache(cache_dir).for_binary(sha, config)
+
+
+class JobCaches:
+    """One job's probes of the on-disk caches, and its publish step.
+
+    Every path that analyses a job (unsharded, shard plan, exec and
+    merge) goes through this object, so the cache protocol and the
+    ``cache`` counters of the result payload have one definition.
+    """
+
+    def __init__(self, loaded, cache_dir=None, use_summary_cache=True,
+                 use_report_cache=True, use_fleet_index=False):
+        self.loaded = loaded
+        self.summary_dir = cache_dir if use_summary_cache else None
+        self.incremental = use_fleet_index
+        self.report_fp = (
+            report_fingerprint(loaded.config) if cache_dir else None
+        )
+        self.reports = (
+            ReportCache(cache_dir) if cache_dir and use_report_cache
+            else None
+        )
+        self.bound = None
+        self.stats = {"summary_hits": 0, "summary_misses": 0,
+                      "report_cache_hit": False, "cache_corrupt": 0}
+
+    def cached_report(self):
+        """The per-sha report-cache entry, or ``None``.
+
+        Incremental runs skip this probe: the image-findings layer
+        (:meth:`image_report`) subsumes it (a byte-identical binary
+        always matches its own closures) and, unlike it, yields the
+        closure fingerprints that --baseline deltas compare against.
+        """
+        if self.reports is None or self.incremental:
+            return None
+        report_dict = self.reports.get(self.loaded.sha, self.report_fp)
+        self.stats["report_cache_hit"] = report_dict is not None
+        return report_dict
+
+    def bind(self):
+        """Open the job's summary cache; ``None`` when caching is off."""
+        if self.summary_dir:
+            self.bound = open_summary_cache(
+                self.summary_dir, self.loaded.sha, self.loaded.config,
+                incremental=self.incremental,
+            )
+        return self.bound
+
+    def image_report(self, detector):
+        """Whole-image reuse through the fleet index, or ``None``.
+
+        If every function's closure fingerprint matches a previously
+        analysed image (same config), its findings apply verbatim
+        modulo a uniform address shift.  Fingerprinting needs the CFG,
+        so this builds it on ``detector``.
+        """
+        if not self.incremental or self.bound is None:
+            return None
+        detector.build_cfg()
+        report_dict = self.bound.lookup_image_report(self.report_fp)
+        if report_dict is not None:
+            self.stats["image_findings_hit"] = True
+        return report_dict
+
+    def fold(self, stats):
+        """Add another cache's numeric counters into the job's."""
+        for key, value in (stats or {}).items():
+            if isinstance(value, (int, float)) and not isinstance(
+                value, bool
+            ):
+                self.stats[key] = self.stats.get(key, 0) + value
+        if "reuse_ratio" in self.stats:
+            # Ratios from several shards do not add up: derive it from
+            # the summed counters, as one incremental cache does.
+            hits = self.stats["summary_hits"]
+            lookups = hits + self.stats["summary_misses"]
+            self.stats["reuse_ratio"] = (
+                round(hits / lookups, 4) if lookups else 0.0
+            )
+
+    def publish(self, report_dict):
+        """Write a finished report back; returns closure fingerprints."""
+        fingerprints = None
+        if self.bound is not None:
+            if self.incremental and not self.stats.get("image_findings_hit"):
+                self.bound.store_image_report(self.report_fp, report_dict)
+            self.bound.flush()
+            self.fold(self.bound.stats)
+            if self.incremental:
+                fingerprints = self.bound.closure_fingerprints()
+        if self.reports is not None:
+            if not self.stats["report_cache_hit"]:
+                self.reports.put(self.loaded.sha, self.report_fp,
+                                 report_dict)
+            self.stats["cache_corrupt"] += self.reports.corrupt
+        return fingerprints
+
+
+def resources_of(usage, build_seconds=0.0):
+    """The payload's ``resources`` entry from a finished ``measure``."""
+    return {
+        "wall_seconds": usage.wall_seconds,
+        "cpu_seconds": usage.cpu_seconds,
+        "max_rss_mb": usage.max_rss_mb,
+        "build_seconds": build_seconds,
+    }
+
+
+def ok_payload(report_dict, caches, fingerprints, resources,
+               fired_faults=()):
+    """The completed-job payload every executor returns."""
+    return {
+        "status": "ok",
+        "report": report_dict,
+        "sha256": caches.loaded.sha,
+        "cache": caches.stats,
+        "fingerprints": fingerprints,
+        "fired_faults": list(fired_faults),
+        "resources": resources,
+    }
+
+
 def execute_job(job, attempt=1, cache_dir=None, use_summary_cache=True,
                 use_report_cache=True, use_fleet_index=False):
     """Run one job to completion in *this* process; returns a payload.
@@ -264,22 +420,25 @@ def execute_job(job, attempt=1, cache_dir=None, use_summary_cache=True,
     binaries whenever the position-independent fingerprints match, and
     the payload additionally carries each function's closure
     fingerprint for version-delta reports.
+
+    A shard ``plan`` task runs this same path; once the cache probes
+    miss it partitions the image (:func:`repro.pipeline.shards.plan_job`)
+    and returns a ``plan`` payload, or, when the image is not worth
+    splitting, goes on to analyse it in place.
     """
     from repro.core import DTaint
     from repro.eval.resources import measure
 
-    if job.shard_phase:
-        # Shard-lifecycle tasks (plan / exec / merge) have their own
-        # executors; the plan phase re-enters here via an unsharded
-        # job copy when the image turns out not worth splitting.
-        from repro.pipeline.shards import execute_phase
+    options = dict(
+        cache_dir=cache_dir, use_summary_cache=use_summary_cache,
+        use_report_cache=use_report_cache, use_fleet_index=use_fleet_index,
+    )
+    if job.shard_phase in ("exec", "merge"):
+        from repro.pipeline import shards
 
-        return execute_phase(
-            job, attempt, cache_dir=cache_dir,
-            use_summary_cache=use_summary_cache,
-            use_report_cache=use_report_cache,
-            use_fleet_index=use_fleet_index,
-        )
+        if job.shard_phase == "exec":
+            return shards.execute_shard(job, options)
+        return shards.execute_merge(job, options)
 
     _inject_fault(job, attempt)
     injector = None
@@ -288,83 +447,38 @@ def execute_job(job, attempt=1, cache_dir=None, use_summary_cache=True,
         # result (the fault would silently not fire) nor poison the
         # shared caches with degraded output.
         injector = faultinject.install(faultinject.FaultInjector(job.faults))
-        use_summary_cache = use_report_cache = use_fleet_index = False
+        options = dict(options, use_summary_cache=False,
+                       use_report_cache=False, use_fleet_index=False)
+    plan = None
     try:
         with measure() as usage:
             build_start = time.perf_counter()
-            name, binary, config, sha = _load_job_binary(job)
+            loaded = load_job(job)
             build_seconds = time.perf_counter() - build_start
-
-            cache_stats = {"summary_hits": 0, "summary_misses": 0,
-                           "report_cache_hit": False, "cache_corrupt": 0}
-            fingerprints = None
-            report_dict = None
-            report_fp = report_fingerprint(config) if cache_dir else None
-            report_cache = ReportCache(cache_dir) if cache_dir else None
-            # Incremental runs skip the per-sha report probe: the
-            # image-findings layer below subsumes it (a byte-identical
-            # binary always matches its own closures) and, unlike it,
-            # yields the closure fingerprints that --baseline deltas
-            # compare against.
-            if (report_cache is not None and use_report_cache
-                    and not use_fleet_index):
-                report_dict = report_cache.get(sha, report_fp)
-                if report_dict is not None:
-                    cache_stats["report_cache_hit"] = True
-
+            caches = JobCaches(loaded, **options)
+            report_dict = caches.cached_report()
             if report_dict is None:
-                bound = None
-                if cache_dir and use_summary_cache:
-                    if use_fleet_index:
-                        from repro.increment.reuse import (
-                            open_incremental_cache,
-                        )
+                detector = DTaint(loaded.binary, config=loaded.config,
+                                  name=loaded.name,
+                                  summary_cache=caches.bind())
+                report_dict = caches.image_report(detector)
+                if report_dict is None and job.shard_phase == "plan":
+                    from repro.pipeline.shards import plan_job
 
-                        bound = open_incremental_cache(cache_dir, sha, config)
-                    else:
-                        bound = SummaryCache(cache_dir).for_binary(sha, config)
-                detector = DTaint(binary, config=config, name=name,
-                                  summary_cache=bound)
-                if use_fleet_index and bound is not None:
-                    # Whole-image reuse: if every function's closure
-                    # fingerprint matches a previously analysed image
-                    # (same config), its findings apply verbatim modulo
-                    # a uniform address shift — skip analysis entirely.
-                    detector.build_cfg()
-                    report_dict = bound.lookup_image_report(report_fp)
-                    if report_dict is not None:
-                        cache_stats["image_findings_hit"] = True
-                if report_dict is None:
-                    report = detector.run()
-                    report_dict = report.to_dict()
-                    if use_fleet_index and bound is not None:
-                        bound.store_image_report(report_fp, report_dict)
-                if bound is not None:
-                    bound.flush()
-                    cache_stats.update(bound.stats)
-                    if use_fleet_index:
-                        fingerprints = bound.closure_fingerprints()
-                if report_cache is not None and use_report_cache:
-                    report_cache.put(sha, report_fp, report_dict)
-            if report_cache is not None:
-                cache_stats["cache_corrupt"] += report_cache.corrupt
+                    plan = plan_job(job, loaded, detector)
+                if report_dict is None and plan is None:
+                    report_dict = detector.run().to_dict()
+            if plan is None:
+                fingerprints = caches.publish(report_dict)
     finally:
         if injector is not None:
             faultinject.uninstall()
-    return {
-        "status": "ok",
-        "report": report_dict,
-        "sha256": sha,
-        "cache": cache_stats,
-        "fingerprints": fingerprints,
-        "fired_faults": injector.fired_specs() if injector else [],
-        "resources": {
-            "wall_seconds": usage.wall_seconds,
-            "cpu_seconds": usage.cpu_seconds,
-            "max_rss_mb": usage.max_rss_mb,
-            "build_seconds": build_seconds,
-        },
-    }
+    resources = resources_of(usage, build_seconds)
+    if plan is not None:
+        plan.update(cache=caches.stats, resources=resources)
+        return plan
+    return ok_payload(report_dict, caches, fingerprints, resources,
+                      injector.fired_specs() if injector else ())
 
 
 class FleetScheduler:

@@ -13,12 +13,14 @@ A sharded image becomes a three-phase task graph run on the ordinary
 whatever shard task is queued next, across images):
 
 ``plan``
-    One worker loads the image, derives a direct-call edge set (the
-    real call graph in incremental mode — it is already built for
+    One worker runs the ordinary job path
+    (:func:`~repro.pipeline.scheduler.execute_job`: load, cache
+    probes) and, on a miss, derives a direct-call edge set (the real
+    call graph in incremental mode — it is already built for
     fingerprinting — or a vectorised instruction scout otherwise),
     condenses it into dependency components and groups them into
-    cost-balanced shards.  Trivially small images short-circuit to a
-    plain unsharded run in place.
+    cost-balanced shards.  Trivially small images keep running
+    unsharded in place, on the binary already loaded.
 ``exec`` (one task per shard)
     Recovers CFGs for its function subset only (summaries never
     depend on *which* other functions were recovered: direct-call
@@ -43,7 +45,6 @@ corpus for shard counts 1, 2 and auto.
 
 import os
 import pickle
-import time
 from dataclasses import dataclass, replace
 
 import networkx as nx
@@ -51,14 +52,7 @@ import numpy as np
 
 from repro import profiling
 from repro.core.detector import gc_paused
-from repro.errors import PipelineError
-from repro.pipeline.cache import (
-    ReportCache,
-    SummaryCache,
-    binary_sha256,
-    report_fingerprint,
-    _atomic_write,
-)
+from repro.pipeline.cache import _atomic_write
 
 AUTO_SHARDS = -1
 
@@ -264,265 +258,96 @@ def plan_shards(costs, edges, shard_count, min_shard_cost=MIN_SHARD_COST):
 
 
 # ---------------------------------------------------------------------------
-# Worker-side phase executors (dispatched from execute_job).
+# Worker-side phases: the plan runs inside execute_job; exec and merge
+# are dispatched from it.
 
-def _base_config(job):
-    """The job's DTaintConfig, identically to ``_load_job_binary``."""
-    from repro.core import DTaintConfig
+def plan_job(job, loaded, detector):
+    """Partition a loaded image into shards; ``None`` keeps it whole.
 
-    if job.kind == "profile":
-        from repro.corpus.profiles import analyzed_module_prefixes
-
-        return DTaintConfig(modules=analyzed_module_prefixes(job.key),
-                            alias_engine=job.alias_engine)
-    return DTaintConfig(modules=tuple(job.modules),
-                        alias_engine=job.alias_engine)
-
-
-def _materialize(job, spill_dir):
-    """Load the job's binary; returns (name, binary, config, sha, spill).
-
-    ``spill`` is an on-disk ELF every later shard/merge task can
-    reload in O(ms): the job's own path for ``elf`` jobs, a spilled
-    copy of the built image for ``profile`` jobs (building a synthetic
-    profile costs seconds — paying it once in the plan instead of once
-    per task is most of the sharding win for profile jobs).
+    Runs inside :func:`~repro.pipeline.scheduler.execute_job` once the
+    cache probes missed.  ``None`` (too small to be worth splitting)
+    means the caller analyses the image in place with the binary and
+    detector it already holds.  Otherwise the ELF is spilled for the
+    exec and merge tasks and a ``plan`` payload returned.
     """
-    from repro.loader.binary import load_elf
-
-    if job.kind == "profile":
-        from repro.corpus.profiles import build_firmware
-
-        built = build_firmware(job.key, scale=job.scale)
-        sha = binary_sha256(built.elf_bytes)
-        spill = os.path.join(spill_dir, "%s.elf" % sha)
-        if not os.path.exists(spill):
-            _atomic_write(spill, built.elf_bytes)
-        # Analyse the ELF round-trip form, so plan/exec/merge all see
-        # bit-identical inputs regardless of which one built it.
-        return (built.name, load_elf(built.elf_bytes, name=built.name),
-                _base_config(job), sha, spill)
-    if job.kind == "elf":
-        with open(job.path, "rb") as handle:
-            data = handle.read()
-        return (job.path, load_elf(data, name=job.path),
-                _base_config(job), sha256_of(data), job.path)
-    raise PipelineError("unknown job kind %r" % job.kind)
-
-
-def sha256_of(data):
-    return binary_sha256(data)
-
-
-def _selected_names(binary, config):
-    """Non-import function names the detector would select."""
-    names = []
-    selected = 0
-    for symbol in binary.local_functions:
-        if config.modules and not any(
-            symbol.name.startswith(prefix) for prefix in config.modules
-        ):
-            continue
-        if symbol.is_import:
-            continue
-        selected += 1
-        names.append(symbol.name)
-    return names, selected
-
-
-def execute_phase(job, attempt, cache_dir=None, use_summary_cache=True,
-                  use_report_cache=True, use_fleet_index=False):
-    """Dispatch one shard-lifecycle task (worker side)."""
-    options = dict(
-        cache_dir=cache_dir, use_summary_cache=use_summary_cache,
-        use_report_cache=use_report_cache, use_fleet_index=use_fleet_index,
-    )
-    if job.shard_phase == "plan":
-        return _execute_plan(job, attempt, **options)
-    if job.shard_phase == "exec":
-        return _execute_shard(job, attempt, **options)
-    if job.shard_phase == "merge":
-        return _execute_merge(job, attempt, **options)
-    raise PipelineError("unknown shard phase %r" % job.shard_phase)
-
-
-def _unsharded_fallthrough(job, attempt, options):
-    """Run the image unsharded in place (plan decided not to split)."""
-    from repro.pipeline.scheduler import execute_job
-
-    plain = replace(
-        job, shard_phase="", shard_index=-1, shard_names=(),
-        shard_payload=None, shards=0,
-    )
-    return execute_job(plain, attempt=attempt, **options)
-
-
-def _execute_plan(job, attempt, cache_dir=None, use_summary_cache=True,
-                  use_report_cache=True, use_fleet_index=False):
-    """Phase 1: load, probe caches, partition into shards."""
-    from repro.eval.resources import measure
-    from repro.pipeline.scheduler import _inject_fault
-
-    _inject_fault(job, attempt)
-    with measure() as usage:
-        payload = _plan_body(
-            job, attempt, cache_dir=cache_dir,
-            use_summary_cache=use_summary_cache,
-            use_report_cache=use_report_cache,
-            use_fleet_index=use_fleet_index,
-        )
-    # ``measure`` only finalises ``usage`` in its exit hook, so the
-    # numbers are read *after* the block — for every payload shape
-    # (plan, cache-hit ok, unsharded fallthrough alike).
-    resources = payload.setdefault("resources", {})
-    resources.update(
-        wall_seconds=usage.wall_seconds,
-        cpu_seconds=usage.cpu_seconds,
-        max_rss_mb=usage.max_rss_mb,
-    )
-    return payload
-
-
-def _plan_body(job, attempt, cache_dir, use_summary_cache,
-               use_report_cache, use_fleet_index):
-    baseline = profiling.PROFILER.snapshot()
-    options = dict(
-        cache_dir=cache_dir, use_summary_cache=use_summary_cache,
-        use_report_cache=use_report_cache, use_fleet_index=use_fleet_index,
-    )
-    spill_dir = (job.shard_payload or {}).get("spill_dir", "")
-    build_start = time.perf_counter()
-    bin_name, binary, config, sha, spill = _materialize(job, spill_dir)
-    build_seconds = time.perf_counter() - build_start
-
-    cache_stats = {"summary_hits": 0, "summary_misses": 0,
-                   "report_cache_hit": False, "cache_corrupt": 0}
-    report_fp = report_fingerprint(config) if cache_dir else None
-    if cache_dir and use_report_cache and not use_fleet_index:
-        report_dict = ReportCache(cache_dir).get(sha, report_fp)
-        if report_dict is not None:
-            # Whole-report hit: nothing to shard, return the
-            # standard completed-job payload right here.
-            cache_stats["report_cache_hit"] = True
-            return _ok_payload(report_dict, sha, cache_stats, None,
-                               build_seconds)
-
-    fingerprints_blob = None
     with profiling.PROFILER.phase("plan"):
-        names, selected = _selected_names(binary, config)
-        costs = {
-            name: float(max(binary.functions[name].size, 64))
-            for name in names
-        }
-    if use_fleet_index and cache_dir and use_summary_cache:
-        from repro.core import DTaint
-        from repro.increment.reuse import open_incremental_cache
-
-        bound = open_incremental_cache(cache_dir, sha, config)
-        detector = DTaint(binary, config=config, name=bin_name,
-                          summary_cache=bound)
-        detector.build_cfg()
-        report_dict = bound.lookup_image_report(report_fp)
-        if report_dict is not None:
-            cache_stats["image_findings_hit"] = True
-            bound.flush()
-            cache_stats.update(bound.stats)
-            return _ok_payload(
-                report_dict, sha, cache_stats,
-                bound.closure_fingerprints(), build_seconds,
-            )
-        with profiling.PROFILER.phase("plan"):
-            # The real call graph is already built for
-            # fingerprinting — use it (strictly better balance
-            # than the scout) and ship the fingerprints so shards
-            # skip recomputing closures on partial graphs.
+        symbols = detector.selected_symbols()
+        costs = {symbol.name: float(max(symbol.size, 64))
+                 for symbol in symbols}
+        fingerprints_blob = None
+        if detector.call_graph is not None:
+            # The fleet-index probe already built the real call graph
+            # for fingerprinting: use it (strictly better balance than
+            # the scout) and ship the fingerprints so shards skip
+            # recomputing closures on partial graphs.
             edges = sorted(
                 (caller, callee)
                 for caller, callee in detector.call_graph.edges()
                 if caller in costs and callee in costs
             )
             fingerprints_blob = pickle.dumps(
-                bound.fingerprints, protocol=4
+                detector.summary_cache.fingerprints, protocol=4
             )
-    else:
-        with profiling.PROFILER.phase("plan"):
-            edges = scan_direct_call_edges(binary, set(names))
-
-    with profiling.PROFILER.phase("plan"):
+        else:
+            edges = scan_direct_call_edges(loaded.binary, set(costs))
         plan = plan_shards(costs, edges, max(job.shards, 1))
     if len(plan.shards) <= 1:
-        return _unsharded_fallthrough(job, attempt, options)
-    profile = profiling.delta(baseline, profiling.PROFILER.snapshot())
+        return None
+    # Exec and merge tasks reload this spill in O(ms); rebuilding a
+    # profile or re-extracting a firmware member would cost seconds
+    # per task.
+    spill = os.path.join(job.shard_payload["spill_dir"],
+                         "%s.elf" % loaded.sha)
+    if not os.path.exists(spill):
+        _atomic_write(spill, loaded.elf_bytes)
     return {
         "status": "plan",
-        "sha256": sha,
+        "sha256": loaded.sha,
         "spill": spill,
-        "bin_name": bin_name,
-        "selected": selected,
+        "bin_name": loaded.name,
+        "selected": len(symbols),
         "shards": [list(names) for names in plan.shards],
         "plan_info": plan.describe(),
         "fingerprints_blob": fingerprints_blob,
-        "profile": profile,
-        "cache": cache_stats,
-        "resources": {"build_seconds": build_seconds},
+        "profile": profiling.delta(detector._profile_baseline,
+                                   profiling.PROFILER.snapshot()),
     }
 
 
-def _ok_payload(report_dict, sha, cache_stats, fingerprints,
-                build_seconds):
-    return {
-        "status": "ok",
-        "report": report_dict,
-        "sha256": sha,
-        "cache": cache_stats,
-        "fingerprints": fingerprints,
-        "fired_faults": [],
-        "resources": {"build_seconds": build_seconds},
-    }
+def _load_task(job, options):
+    """An exec/merge task's spilled binary and its bound caches."""
+    from repro.pipeline.scheduler import JobCaches, load_job
+
+    loaded = load_job(job)
+    caches = JobCaches(loaded, **options)
+    bound = caches.bind()
+    blob = job.shard_payload.get("fingerprints_blob")
+    if blob and bound is not None:
+        bound.seed_fingerprints(loaded.binary, pickle.loads(blob))
+    return loaded, caches
 
 
-def _open_shard_cache(sp, sha, config, binary, cache_dir,
-                      use_summary_cache, use_fleet_index):
-    """The shard-local summary cache (never flushes the bundle)."""
-    if not (cache_dir and use_summary_cache):
-        return None
-    if use_fleet_index:
-        from repro.increment.reuse import open_incremental_cache
-
-        bound = open_incremental_cache(cache_dir, sha, config)
-        blob = sp.get("fingerprints_blob")
-        if blob:
-            bound.seed_fingerprints(binary, pickle.loads(blob))
-        return bound
-    return SummaryCache(cache_dir).for_binary(sha, config)
+def _bundle(caches):
+    """The per-binary summary bundle behind the bound cache."""
+    return caches.bound.bound if caches.incremental else caches.bound
 
 
-def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
-                   use_report_cache=True, use_fleet_index=False):
+def execute_shard(job, options):
     """Phase 2: symexec + alias pass 1 + layouts for one function subset."""
-    from repro.alias import get_engine
     from repro.core import DTaint
-    from repro.core.types import infer_types
     from repro.eval.resources import measure
-    from repro.loader.binary import load_elf
+    from repro.pipeline.scheduler import resources_of
 
-    sp = job.shard_payload or {}
+    sp = job.shard_payload
     baseline = profiling.PROFILER.snapshot()
     with measure() as usage, gc_paused():
-        with open(sp["spill"], "rb") as handle:
-            data = handle.read()
-        binary = load_elf(data, name=sp.get("bin_name", job.job_id))
-        sha = sp["sha256"]
-        config = _base_config(job)
-        shard_config = replace(
-            config, function_filter=NameFilter(job.shard_names)
+        loaded, caches = _load_task(job, options)
+        bound = caches.bound
+        detector = DTaint(
+            loaded.binary, name=loaded.name, summary_cache=bound,
+            config=replace(loaded.config,
+                           function_filter=NameFilter(job.shard_names)),
         )
-        bound = _open_shard_cache(
-            sp, sha, config, binary, cache_dir, use_summary_cache,
-            use_fleet_index,
-        )
-        detector = DTaint(binary, config=shard_config,
-                          name=sp.get("bin_name", ""), summary_cache=bound)
         detector.build_cfg()
         detector.analyze_functions()
         # Bundle blobs are captured *pre-alias* (the cache stores
@@ -530,26 +355,12 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
         # mutates the live objects only).
         blobs = {}
         if bound is not None:
-            store = bound.bound if use_fleet_index else bound
             addrs = {s.addr for s in detector.summaries.values()}
-            blobs = store.export_blobs(addrs)
-        types_map = {}
-        alias_engine = get_engine(config.alias_engine)
-        for name, summary in list(detector.summaries.items()):
-            started = time.perf_counter()
-            try:
-                types = infer_types(summary)
-                types_map[name] = types
-                if config.enable_aliasing:
-                    alias_engine.apply(summary, types)
-            except Exception as exc:
-                detector._degrade(name, summary.addr, "aliasing", exc,
-                                  started)
-                del detector.summaries[name]
-                types_map.pop(name, None)
+            blobs = _bundle(caches).export_blobs(addrs)
+        types_map = detector.infer_and_alias()
         layouts = {}
         addr_taken = ()
-        if config.enable_structure_similarity:
+        if loaded.config.enable_structure_similarity:
             from repro.core.structure import (
                 address_taken_functions,
                 extract_layouts,
@@ -563,12 +374,12 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
                         pass          # merge recomputes on a miss
                 try:
                     addr_taken = tuple(sorted(_summary_address_taken(
-                        binary, detector.summaries,
+                        loaded.binary, detector.summaries,
                         address_taken_functions,
                     )))
                 except Exception:
                     addr_taken = ()
-        if bound is not None and use_fleet_index:
+        if bound is not None and caches.incremental:
             # Batched per-shard index write; the per-binary bundle is
             # flushed exactly once, by the merge.
             bound.flush(include_bundle=False)
@@ -581,6 +392,7 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
         # every shard's phase seconds into the image's phase_times
         # without the scheduler re-threading per-task payloads.
         profile = profiling.delta(baseline, profiling.PROFILER.snapshot())
+        cache = dict(bound.stats) if bound is not None else {}
         out = {
             "index": job.shard_index,
             "summaries": detector.summaries,
@@ -591,11 +403,12 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
             "blobs": blobs,
             "addr_taken": addr_taken,
             "profile": profile,
-            "cache": dict(bound.stats) if bound is not None else {},
+            "cache": cache,
         }
         spill_out = os.path.join(
             sp["spill_dir"],
-            "%s.shard.%d.%d.pkl" % (sha, job.shard_gen, job.shard_index),
+            "%s.shard.%d.%d.pkl" % (loaded.sha, job.shard_gen,
+                                    job.shard_index),
         )
         _atomic_write(spill_out, pickle.dumps(out, protocol=4))
     return {
@@ -606,12 +419,8 @@ def _execute_shard(job, attempt, cache_dir=None, use_summary_cache=True,
         "functions": len(detector.summaries),
         "degraded": len(detector.degraded),
         "profile": profile,
-        "cache": dict(bound.stats) if bound is not None else {},
-        "resources": {
-            "wall_seconds": usage.wall_seconds,
-            "cpu_seconds": usage.cpu_seconds,
-            "max_rss_mb": usage.max_rss_mb,
-        },
+        "cache": cache,
+        "resources": resources_of(usage),
     }
 
 
@@ -622,23 +431,18 @@ def _summary_address_taken(binary, summaries, address_taken_functions):
     return full - data_part
 
 
-def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
-                   use_report_cache=True, use_fleet_index=False):
+def execute_merge(job, options):
     """Phase 3: deterministic reassembly + the serial pipeline tail."""
     from repro.cfg import build_call_graph
     from repro.cfg.model import Function
     from repro.core import DTaint
     from repro.eval.resources import measure
-    from repro.loader.binary import load_elf
+    from repro.pipeline.scheduler import ok_payload, resources_of
 
-    sp = job.shard_payload or {}
+    sp = job.shard_payload
     baseline = profiling.PROFILER.snapshot()
     with measure() as usage, gc_paused():
-        with open(sp["spill"], "rb") as handle:
-            data = handle.read()
-        binary = load_elf(data, name=sp.get("bin_name", job.job_id))
-        sha = sp["sha256"]
-        config = _base_config(job)
+        loaded, caches = _load_task(job, options)
         shard_outs = []
         for path in sp["shard_spills"]:
             with open(path, "rb") as handle:
@@ -654,7 +458,7 @@ def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
             # address-sorted recovered locals, then import stubs in
             # symbol-table order (CFGBuilder.build_all's layout).
             functions = {sk.name: sk for sk in skeletons}
-            for symbol in binary.functions.values():
+            for symbol in loaded.binary.functions.values():
                 if symbol.is_import and symbol.name not in functions:
                     functions[symbol.name] = Function(
                         name=symbol.name, addr=symbol.addr,
@@ -663,7 +467,6 @@ def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
             summaries, types_map, layouts = {}, {}, {}
             degraded, addr_taken, blobs = [], set(), {}
             shard_profiles = []
-            cache_totals = {}
             for out in shard_outs:
                 summaries.update(out["summaries"])
                 types_map.update(out["types"])
@@ -672,17 +475,14 @@ def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
                 addr_taken.update(out["addr_taken"])
                 blobs.update(out["blobs"])
                 shard_profiles.append(out["profile"])
+                caches.fold(out["cache"])
+            caches.fold(sp.get("plan_cache"))
             call_graph = build_call_graph(functions)
 
-        bound = _open_shard_cache(
-            sp, sha, config, binary, cache_dir, use_summary_cache,
-            use_fleet_index,
-        )
-        if bound is not None:
-            store = bound.bound if use_fleet_index else bound
-            store.preload(blobs)
-        detector = DTaint(binary, config=config,
-                          name=sp.get("bin_name", ""), summary_cache=bound)
+        if caches.bound is not None:
+            _bundle(caches).preload(blobs)
+        detector = DTaint(loaded.binary, config=loaded.config,
+                          name=loaded.name, summary_cache=caches.bound)
         detector.attach_prebuilt(
             functions, call_graph, sp.get("selected", 0),
             degraded=degraded, summaries=summaries, types=types_map,
@@ -691,39 +491,8 @@ def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
                 "address_taken": sorted(addr_taken),
             },
         )
-        report = detector.detect()
-        report_dict = report.to_dict()
-
-        cache_stats = {"summary_hits": 0, "summary_misses": 0,
-                       "report_cache_hit": False, "cache_corrupt": 0}
-        for out in shard_outs:
-            for key, value in (out.get("cache") or {}).items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    cache_totals[key] = cache_totals.get(key, 0) + value
-        for key, value in (sp.get("plan_cache") or {}).items():
-            if isinstance(value, (int, float)) and not isinstance(
-                value, bool
-            ):
-                cache_totals[key] = cache_totals.get(key, 0) + value
-        cache_stats.update(cache_totals)
-        fingerprints = None
-        if bound is not None:
-            if use_fleet_index:
-                report_fp = report_fingerprint(config)
-                bound.store_image_report(report_fp, report_dict)
-                fingerprints = bound.closure_fingerprints()
-            bound.flush()
-            for key, value in bound.stats.items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    cache_stats[key] = cache_stats.get(key, 0) + value
-        if cache_dir and use_report_cache and not use_fleet_index:
-            ReportCache(cache_dir).put(
-                sha, report_fingerprint(config), report_dict
-            )
+        report_dict = detector.detect().to_dict()
+        fingerprints = caches.publish(report_dict)
         # The report's own profile covers only this process; fold in
         # the plan's and every shard's deltas so per-image phase_times
         # reflect total analysis compute (each process contributed its
@@ -735,29 +504,13 @@ def _execute_merge(job, attempt, cache_dir=None, use_summary_cache=True,
                     if p] + [merge_profile]
         report_dict["phase_profile"] = profiling.merge(profiles)
         report_dict["summary_cache"] = {
-            "hits": int(cache_stats.get("summary_hits", 0)),
-            "misses": int(cache_stats.get("summary_misses", 0)),
+            "hits": int(caches.stats.get("summary_hits", 0)),
+            "misses": int(caches.stats.get("summary_misses", 0)),
         }
         for path in sp["shard_spills"]:
             try:
                 os.unlink(path)
             except OSError:
                 pass
-    return {
-        "status": "ok",
-        "report": report_dict,
-        "sha256": sha,
-        "cache": cache_stats,
-        "fingerprints": fingerprints,
-        "fired_faults": [],
-        "shard_stats": {
-            "shards": len(shard_outs),
-            "plan_info": sp.get("plan_info", {}),
-        },
-        "resources": {
-            "wall_seconds": usage.wall_seconds,
-            "cpu_seconds": usage.cpu_seconds,
-            "max_rss_mb": usage.max_rss_mb,
-            "build_seconds": sp.get("build_seconds", 0.0),
-        },
-    }
+    return ok_payload(report_dict, caches, fingerprints,
+                      resources_of(usage, sp.get("build_seconds", 0.0)))

@@ -19,8 +19,15 @@ from hypothesis import strategies as st
 
 from repro.corpus.fleet import build_version_pair
 from repro.corpus.profiles import analyzed_module_prefixes, build_firmware
+from repro.firmware.image import pack_trx
+from repro.firmware.simplefs import SimpleFS
 from repro.loader.link import build_executable
-from repro.pipeline import FleetJob, FleetScheduler, findings_fingerprint
+from repro.pipeline import (
+    FleetJob,
+    FleetScheduler,
+    execute_job,
+    findings_fingerprint,
+)
 from repro.pipeline.shards import (
     AUTO_SHARDS,
     plan_shards,
@@ -34,10 +41,26 @@ SCALE = 0.25    # smallest build whose cost clears two min-cost shards
 
 
 @pytest.fixture(scope="module")
-def image_elf(tmp_path_factory):
-    built = build_firmware(IMAGE, scale=SCALE)
+def built_image():
+    return build_firmware(IMAGE, scale=SCALE)
+
+
+@pytest.fixture(scope="module")
+def image_elf(built_image, tmp_path_factory):
     path = tmp_path_factory.mktemp("shards") / ("%s.elf" % IMAGE)
-    path.write_bytes(built.elf_bytes)
+    path.write_bytes(built_image.elf_bytes)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def image_trx(built_image, tmp_path_factory):
+    """The image packed as a vendor TRX around a SimpleFS root."""
+    fs = SimpleFS()
+    fs.add_dir("/bin")
+    fs.add_file("/bin/%s" % built_image.profile.binary_name,
+                built_image.elf_bytes)
+    path = tmp_path_factory.mktemp("shards") / ("%s.trx" % IMAGE)
+    path.write_bytes(pack_trx(b"\x00" * 64 + b"Linux", fs.pack()))
     return str(path)
 
 
@@ -243,9 +266,53 @@ class TestShardIdentity:
         warm_hits = runs[0][1].cache.get("fleet_hits", 0)
         assert warm_hits > 0
         assert runs[2][1].cache.get("fleet_hits", 0) == warm_hits
+        assert runs[2][1].cache["reuse_ratio"] == \
+            runs[0][1].cache["reuse_ratio"]
         planned = {event["job"]: event["shards"] for event in events
                    if event["event"] == "shard_plan"}
         assert planned.get("warm-2", 0) >= 2
+
+    def test_firmware_members_shard(self, image_trx):
+        """An ``--image`` member shards like a flat ELF, first attempt."""
+        events = []
+        telemetry = Telemetry()
+        telemetry.add_sink(lambda record: events.append(dict(record)))
+        probes = []
+        with FleetScheduler(jobs=1, retries=0, backoff=0.0,
+                            telemetry=telemetry) as scheduler:
+            for shards in (0, 2):
+                result = scheduler.run([FleetJob(
+                    job_id="fw%d" % shards, kind="firmware", path=image_trx,
+                    modules=analyzed_module_prefixes(IMAGE), shards=shards,
+                )])[0]
+                assert result.ok, result.error
+                probes.append((findings_fingerprint(result.report),
+                               result.report.get("coverage")))
+        assert probes[0] == probes[1]
+        kinds = [event["event"] for event in events]
+        assert "shard_fallback" not in kinds
+        assert any(event["shards"] >= 2 for event in events
+                   if event["event"] == "shard_plan")
+
+    def test_declined_plan_loads_image_once(self, monkeypatch, tmp_path):
+        """A plan that keeps the image whole analyses what it loaded."""
+        from repro.corpus import profiles
+
+        calls = []
+        real_build = profiles.build_firmware
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(profiles, "build_firmware", counting_build)
+        plan = FleetJob(job_id="small", kind="profile", key=IMAGE, scale=0.1,
+                        shards=2, shard_phase="plan",
+                        shard_payload={"spill_dir": str(tmp_path)})
+        payload = execute_job(plan)
+        assert payload["status"] == "ok"
+        assert len(calls) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_backoff_state_is_pruned_after_run(self, image_elf):
         with FleetScheduler(jobs=1, retries=2, backoff=0.01) as scheduler:
@@ -300,6 +367,18 @@ class TestServicePlumbing:
         pinned = job_spec("elf", path="/tmp/x.elf", shards=4)
         assert fleet_job_from_spec(pinned, "j4",
                                    default_shards=AUTO_SHARDS).shards == 4
+
+    @pytest.mark.parametrize("command", ["serve", "fleet-scan"])
+    def test_bad_shards_value_exits_2(self, command, capsys):
+        from repro.cli import main
+
+        try:
+            code = main([command, "--shards", "foo"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "--shards takes 'auto' or an integer" in \
+            capsys.readouterr().err
 
     def test_cli_shard_parser(self):
         from repro.cli import _parse_shards
